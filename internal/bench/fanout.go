@@ -21,9 +21,11 @@ import (
 //   - raw: everyone on the initial raw plan (one class, no modulation work);
 //   - split-shared: everyone pushes the same split plan — one class, one
 //     interpreter run and one marshal per event, fanned N ways;
-//   - split-distinct: everyone pushes the same split under a *distinct*
-//     plan version — N singleton classes, so every event is modulated N
-//     times: the seed's per-subscription cost, reproduced for comparison.
+//   - split-distinct: everyone pushes the same split plan, but each
+//     subscriber sits on its own channel — N singleton classes (the channel
+//     is part of the class key, and Publish broadcasts to every channel),
+//     so every event is modulated N times: the seed's per-subscription
+//     cost, reproduced for comparison.
 type FanoutConfig struct {
 	// Frames is the number of events published per row.
 	Frames int
@@ -95,7 +97,7 @@ type fanoutPeer struct {
 	conn transport.Conn
 }
 
-func dialFanoutPeer(mem *transport.Mem, addr, name string) (*fanoutPeer, error) {
+func dialFanoutPeer(mem *transport.Mem, addr, name, channel string) (*fanoutPeer, error) {
 	conn, err := mem.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -103,6 +105,7 @@ func dialFanoutPeer(mem *transport.Mem, addr, name string) (*fanoutPeer, error) 
 	hello, err := wire.Marshal(&wire.Subscribe{
 		Protocol:   wire.ProtocolVersion,
 		Subscriber: name,
+		Channel:    channel,
 		Handler:    imaging.HandlerName,
 		Source:     imaging.HandlerSource(64),
 		CostModel:  costmodel.DataSizeName,
@@ -127,10 +130,10 @@ func dialFanoutPeer(mem *transport.Mem, addr, name string) (*fanoutPeer, error) 
 	return p, nil
 }
 
-func (p *fanoutPeer) pushPlan(version uint64) error {
+func (p *fanoutPeer) pushPlan() error {
 	data, err := wire.Marshal(&wire.Plan{
 		Handler: imaging.HandlerName,
-		Version: version,
+		Version: 1,
 		Split:   []int32{1, 3},
 		Profile: []int32{0, 1, 2, 3},
 	})
@@ -159,7 +162,14 @@ func runFanoutOnce(cfg FanoutConfig, mode string, n int) (FanoutRow, error) {
 
 	peers := make([]*fanoutPeer, n)
 	for i := range peers {
-		p, err := dialFanoutPeer(mem, pub.Addr(), fmt.Sprintf("fan-%d", i))
+		name, channel := fmt.Sprintf("fan-%d", i), ""
+		if mode == "split-distinct" {
+			// One channel per subscriber gives every subscription its own
+			// class key and so its own singleton class: the event is
+			// modulated once per subscriber, like the pre-class publisher.
+			channel = name
+		}
+		p, err := dialFanoutPeer(mem, pub.Addr(), name, channel)
 		if err != nil {
 			return FanoutRow{}, err
 		}
@@ -171,25 +181,15 @@ func runFanoutOnce(cfg FanoutConfig, mode string, n int) (FanoutRow, error) {
 	}
 
 	wantClasses := 1
-	switch mode {
-	case "split-shared":
-		for _, p := range peers {
-			if err := p.pushPlan(1); err != nil {
-				return FanoutRow{}, err
-			}
-		}
-	case "split-distinct":
-		// A distinct version per subscriber gives every subscription its
-		// own plan fingerprint and so its own singleton class: the event is
-		// modulated once per subscriber, like the pre-class publisher.
-		for i, p := range peers {
-			if err := p.pushPlan(uint64(i + 1)); err != nil {
-				return FanoutRow{}, err
-			}
-		}
+	if mode == "split-distinct" {
 		wantClasses = n
 	}
 	if mode != "raw" {
+		for _, p := range peers {
+			if err := p.pushPlan(); err != nil {
+				return FanoutRow{}, err
+			}
+		}
 		if err := waitCond(30*time.Second, func() bool {
 			if pub.PlanClasses() != wantClasses {
 				return false

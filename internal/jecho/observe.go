@@ -665,7 +665,7 @@ func (p *Publisher) Status() obsv.EndpointStatus {
 			ID:          s.id,
 			Channel:     s.channel,
 			Handler:     s.compiled.Prog.Name,
-			PlanVersion: plan.Version(),
+			PlanVersion: s.planVersion.Load(),
 			Split:       append([]int32(nil), plan.SplitIDs()...),
 			QueueLen:    len(s.pipe.queue),
 			Metrics:     counterMap(s.metrics.snapshot()),

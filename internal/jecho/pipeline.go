@@ -47,8 +47,8 @@ func (p OverflowPolicy) String() string {
 // QueueDepth zero.
 const DefaultQueueDepth = 64
 
-// errRetired reports an enqueue on a subscription whose sender has shut
-// down (peer dead or publisher closing).
+// errRetired reports an enqueue on (or a plan for) a subscription that has
+// been retired: its sender shut down, peer dead or publisher closing.
 var errRetired = errors.New("jecho: subscription retired")
 
 // batchConfig is the per-subscription batching policy resolved at

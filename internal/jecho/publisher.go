@@ -130,7 +130,7 @@ type PublisherConfig struct {
 // Publisher hosts an event channel: it accepts subscriptions and fans
 // published events out through them. Subscriptions are pooled into
 // plan-equivalence classes (see registry.go): everyone on the same
-// (channel, handler, plan, protocol, batching) key shares one modulator
+// (channel, handler, cut, protocol, batching) key shares one modulator
 // and one marshalled frame per event, so an event costs one modulation and
 // one marshal per *class* and the per-subscriber work is a refcounted
 // queue handoff. Each subscription still owns an asynchronous send
@@ -219,6 +219,11 @@ type subscription struct {
 	// class is the subscription's current plan-equivalence class. Written
 	// only under classIndex.mu (join/migrate/retire); nil once retired.
 	class atomic.Pointer[planClass]
+	// planVersion is the version of this subscription's active plan. It is
+	// the subscription's own: a shared class's modulator plan belongs to no
+	// single member, so staleness checks, degrade versions and feedback
+	// read this instead. Written only under classIndex.mu.
+	planVersion atomic.Uint64
 
 	// rel is the at-least-once delivery stream (nil on best-effort
 	// subscriptions). It is not part of the classKey: sequencing and the
@@ -323,7 +328,8 @@ type SubscriptionInfo struct {
 	Channel string
 	// Handler is the installed handler's name.
 	Handler string
-	// PlanVersion is the active partitioning plan's version.
+	// PlanVersion is the subscription's own active plan version (members
+	// of one plan class may differ; the version is not part of the key).
 	PlanVersion uint64
 	// SplitIDs are the active plan's flagged PSEs.
 	SplitIDs []int32
@@ -358,7 +364,7 @@ func (p *Publisher) Subscriptions() []SubscriptionInfo {
 			ID:          s.id,
 			Channel:     s.channel,
 			Handler:     s.compiled.Prog.Name,
-			PlanVersion: plan.Version(),
+			PlanVersion: s.planVersion.Load(),
 			SplitIDs:    split,
 			QueueLen:    len(s.pipe.queue),
 			Metrics:     s.metrics.snapshot(),
@@ -453,23 +459,26 @@ func classKeyFor(s *subscription, plan *partition.Plan) classKey {
 	}
 }
 
-// joinClassLocked adds s to the class for plan, creating it on first use.
-// inherit, when non-nil, is a just-emptied class whose modulation state
-// (modulator, profiling collector, per-PSE histograms) the new class reuses:
-// a sole-member migration then behaves exactly like the seed's
-// per-subscription Modulator.SetPlan — profiled statistics and the feedback
-// message count survive the plan flip instead of resetting, which the
-// subscriber's min-cut depends on. Caller holds classes.mu.
+// joinClassLocked adds s to the class for plan, creating it on first use,
+// and makes plan's version the subscription's own. inherit, when non-nil,
+// is a just-emptied class whose modulation state (modulator, profiling
+// collector, per-PSE histograms) the new class reuses: a sole-member
+// migration then behaves exactly like the seed's per-subscription
+// Modulator.SetPlan — profiled statistics and the feedback message count
+// survive the plan flip instead of resetting, which the subscriber's
+// min-cut depends on. Caller holds classes.mu.
 func (p *Publisher) joinClassLocked(s *subscription, plan *partition.Plan, inherit *planClass) {
 	key := classKeyFor(s, plan)
 	c := p.classes.classes[key]
 	if c == nil {
 		if inherit != nil {
-			// SetPlan accepts whenever installPlan's staleness check against
-			// the same modulator passed. A publish concurrently draining an
-			// older snapshot may still be running this modulator; that is the
-			// same SetPlan/Process race the modulator has always supported.
-			inherit.mod.SetPlan(plan)
+			// The inherited modulator's plan version came from whichever
+			// member installed it, so its version gate says nothing about
+			// s; installPlan already checked s's own version. A publish
+			// concurrently draining an older snapshot may still be running
+			// this modulator; that is the same plan-swap/Process race the
+			// modulator has always supported.
+			inherit.mod.ReplacePlan(plan)
 			c = &planClass{
 				key:      key,
 				compiled: inherit.compiled,
@@ -484,6 +493,7 @@ func (p *Publisher) joinClassLocked(s *subscription, plan *partition.Plan, inher
 	}
 	addMemberLocked(c, s)
 	s.class.Store(c)
+	s.planVersion.Store(plan.Version())
 }
 
 // installPlan migrates s to the class of plan — the publisher-side
@@ -491,19 +501,26 @@ func (p *Publisher) joinClassLocked(s *subscription, plan *partition.Plan, inher
 // check, the departure from the old class and the arrival in the new one
 // all happen under the class-index mutex, so a publish racing the
 // migration sees the subscription in exactly one class: the old plan's or
-// the new plan's, never both and never neither. Returns false when the
-// plan is stale (its version does not advance past the active class's) or
-// the subscription has been retired.
-func (p *Publisher) installPlan(s *subscription, plan *partition.Plan) bool {
+// the new plan's, never both and never neither. It returns errRetired when
+// the subscription has been retired (a benign race, dropped quietly by
+// callers), and a wrapped partition.ErrStalePlan when the plan's version
+// does not advance past the subscription's own. A plan whose behaviour
+// equals the active one only advances the version.
+func (p *Publisher) installPlan(s *subscription, plan *partition.Plan) error {
 	x := &p.classes
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	cur := s.class.Load()
 	if cur == nil {
-		return false
+		return errRetired
 	}
-	if plan.Version() != 0 && plan.Version() <= cur.mod.Plan().Version() {
-		return false
+	if active := s.planVersion.Load(); plan.Version() != 0 && plan.Version() <= active {
+		return fmt.Errorf("partition: %w: v%d not past active v%d",
+			partition.ErrStalePlan, plan.Version(), active)
+	}
+	if classKeyFor(s, plan) == cur.key {
+		s.planVersion.Store(plan.Version())
+		return nil
 	}
 	var inherit *planClass
 	if removeMemberLocked(cur, s) == 0 {
@@ -512,7 +529,22 @@ func (p *Publisher) installPlan(s *subscription, plan *partition.Plan) bool {
 	}
 	p.joinClassLocked(s, plan, inherit)
 	x.rebuildLocked()
-	return true
+	return nil
+}
+
+// refusePlan records that a subscriber-pushed plan was not installed (stale,
+// or blocked by an open breaker) by advancing the subscription's version
+// past it. The subscriber pushes only when its cut changes or the publisher
+// diverged; the next feedback frame now reports a version ahead of the
+// refused push, which is how it learns of the divergence and re-sends.
+func (p *Publisher) refusePlan(s *subscription, version uint64) {
+	x := &p.classes
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if s.class.Load() == nil {
+		return
+	}
+	s.planVersion.Store(max(s.planVersion.Load(), version) + 1)
 }
 
 // retire removes a subscription and tears its pipeline and connection down.
@@ -630,11 +662,17 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	reliable := subMsg.Protocol >= wire.ReliableProtocolVersion &&
 		subMsg.Reliability == wire.ReliabilityAtLeastOnce
 	if reliable {
-		sub.rel = p.acquireRelState(relKey{
+		key := relKey{
 			subscriber: subMsg.Subscriber,
 			channel:    subMsg.Channel,
 			handler:    subMsg.Handler,
-		})
+		}
+		if old := p.staleStreamOwner(key, subMsg.ResumeEpoch); old != nil {
+			p.cfg.Logf("jecho publisher: %s resumes the stream of sub %s; retiring the stale session",
+				subMsg.Subscriber, old.id)
+			p.retire(old)
+		}
+		sub.rel = p.acquireRelState(key, sub)
 		// The StreamStart epoch handshake must be the first frame the
 		// subscriber sees, so it can reset stale dedup state before seq 1
 		// of a fresh stream arrives. The send pipeline is not running yet,
@@ -796,10 +834,15 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 				})
 				p.cfg.Logf("jecho publisher: sub %s plan v%d re-selects tripped pse %d; dropped",
 					sub.id, m.Version, id)
+				p.refusePlan(sub, m.Version)
 				continue
 			}
 			if err := p.applyWirePlan(sub, m); err != nil {
+				if errors.Is(err, errRetired) {
+					continue // raced the retirement; nothing to report
+				}
 				if errors.Is(err, partition.ErrStalePlan) {
+					p.refusePlan(sub, m.Version)
 					p.cfg.Tracer.Emit(obsv.Event{
 						Kind: obsv.EvPlanStale, Channel: sub.channel, Sub: sub.id,
 						PSE: obsv.NoPSE, Plan: m.Version,
@@ -857,16 +900,13 @@ func (p *Publisher) applyWirePlan(s *subscription, wp *wire.Plan) error {
 		return err
 	}
 	var before []int32
-	var beforeVersion uint64
 	if c := s.class.Load(); c != nil {
 		before = c.mod.Plan().SplitIDs()
-		beforeVersion = c.mod.Plan().Version()
 	}
-	if !p.installPlan(s, plan) {
-		return fmt.Errorf("partition: %w: v%d not past active v%d",
-			partition.ErrStalePlan, plan.Version(), beforeVersion)
+	if err := p.installPlan(s, plan); err != nil {
+		return err
 	}
-	if !equalSplit(before, plan.SplitIDs()) {
+	if !partition.EqualCut(before, plan.SplitIDs()) {
 		s.metrics.planFlips.Add(1)
 		tracePlanFlip(p.cfg.Tracer, s.channel, s.id, plan.Version(), plan.SplitIDs())
 	}
@@ -971,35 +1011,19 @@ func (p *Publisher) degrade(s *subscription) {
 	}
 	traceMinCut(p.cfg.Tracer, s.channel, s.id, s.runit)
 	// The degrade unit's version counter is private; force the version past
-	// the class's active plan so installPlan cannot reject the degraded
-	// plan as stale.
+	// the subscription's active plan so installPlan cannot reject the
+	// degraded plan as stale.
 	cur := c.mod.Plan()
-	version := cur.Version() + 1
-	if wirePlan.Version > version {
-		version = wirePlan.Version
-	}
+	version := max(s.planVersion.Load()+1, wirePlan.Version)
 	plan, err := partition.NewPlan(s.compiled.NumPSEs(), version, wirePlan.Split, wirePlan.Profile)
 	if err != nil {
 		p.cfg.Logf("jecho publisher: sub %s degrade plan: %v", s.id, err)
 		return
 	}
-	if p.installPlan(s, plan) && !equalSplit(cur.SplitIDs(), plan.SplitIDs()) {
+	if p.installPlan(s, plan) == nil && !partition.EqualCut(cur.SplitIDs(), plan.SplitIDs()) {
 		s.metrics.planFlips.Add(1)
 		tracePlanFlip(p.cfg.Tracer, s.channel, s.id, plan.Version(), plan.SplitIDs())
 	}
-}
-
-// equalSplit compares two sorted split-id sets.
-func equalSplit(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Publish pushes one event through every plan-equivalence class (all
@@ -1105,7 +1129,6 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 	c.hists.observe(out.SplitPSE, modDur, out.WireBytes, out.ModWork)
 	tr := p.cfg.Tracer
 	traced := tr.Enabled()
-	planVersion := c.mod.Plan().Version()
 	reached := 0
 	var errs []error
 	if out.Suppressed {
@@ -1115,7 +1138,7 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 			s.metrics.suppressed.Add(1)
 			s.metrics.bytesSaved.Add(saved)
 			if traced {
-				tracePublish(tr, c.key.channel, s.id, planVersion, out, modDur)
+				tracePublish(tr, c.key.channel, s.id, s.planVersion.Load(), out, modDur)
 			}
 			reached++
 		}
@@ -1147,7 +1170,7 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 				s.metrics.bytesSaved.Add(saved)
 			}
 			if traced {
-				tracePublish(tr, c.key.channel, s.id, planVersion, out, modDur)
+				tracePublish(tr, c.key.channel, s.id, s.planVersion.Load(), out, modDur)
 			}
 			var qerr error
 			if s.rel != nil {
@@ -1163,7 +1186,7 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 			reached++
 		}
 	}
-	p.classFeedback(c, members, planVersion)
+	p.classFeedback(c, members)
 	return reached, errors.Join(errs...)
 }
 
@@ -1189,7 +1212,7 @@ func (p *Publisher) classModFault(c *planClass, members []*subscription, err err
 		if detail != "" {
 			tr.Emit(obsv.Event{
 				Kind: obsv.EvModFault, Channel: c.key.channel, Sub: s.id,
-				PSE: obsv.NoPSE, Plan: plan.Version(), Detail: detail,
+				PSE: obsv.NoPSE, Plan: s.planVersion.Load(), Detail: detail,
 			})
 		}
 		tripped := false
@@ -1214,7 +1237,7 @@ func (p *Publisher) classModFault(c *planClass, members []*subscription, err err
 // always installs RateTriggers, which only consume the message count, so
 // the per-event cost is one uint64 comparison per member — the collector
 // snapshot is built lazily, only when a trigger fires.
-func (p *Publisher) classFeedback(c *planClass, members []*subscription, planVersion uint64) {
+func (p *Publisher) classFeedback(c *planClass, members []*subscription) {
 	msgs := c.coll.Messages()
 	for _, s := range members {
 		s.fbMu.Lock()
@@ -1224,9 +1247,10 @@ func (p *Publisher) classFeedback(c *planClass, members []*subscription, planVer
 			continue
 		}
 		fb := c.coll.ToWire(c.compiled.Prog.Name)
-		// Carry the active plan version so the subscriber's reconfiguration
-		// unit can skip past versions the degrade path forced locally.
-		fb.PlanVersion = planVersion
+		// Carry the member's own plan version so its subscriber can skip
+		// past versions the degrade path forced locally, and re-push when
+		// the publisher diverged from its last plan.
+		fb.PlanVersion = s.planVersion.Load()
 		data, err := wire.Marshal(fb)
 		if err != nil {
 			continue

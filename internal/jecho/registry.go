@@ -121,7 +121,8 @@ func (r *subRegistry) snapshot() []*subscription {
 // classKey identifies a plan-equivalence class: everything that decides
 // what bytes a subscription receives for a given event. prog is the dense
 // id the publisher's compile cache assigns each distinct compiled handler
-// (source + cost model + native set), plan is the plan fingerprint, proto
+// (source + cost model + native set), plan is the plan fingerprint (split
+// and profile sets; versions are per subscription, not behaviour), proto
 // the negotiated protocol version, batched whether wire-level batching was
 // negotiated (batching changes pipeline framing, not the event frame, but
 // keeping it in the key keeps every class homogeneous end to end).

@@ -149,9 +149,11 @@ type relState struct {
 	// Orphan bookkeeping, guarded by the publisher's relMu. registered
 	// reports the state lives in the publisher's resume map; an
 	// unregistered state (duplicate subscription triple) is closed on
-	// retire instead of parked.
+	// retire instead of parked. owner is the attached subscription (nil
+	// while detached).
 	attached   bool
 	registered bool
+	owner      *subscription
 	detachedAt time.Time
 
 	evictions uint64 // guarded by mu; snapshot via stats
@@ -355,12 +357,12 @@ func (r *relState) close() {
 	}
 }
 
-// acquireRelState finds or creates the delivery stream for key. A detached
-// state (previous connection died) is adopted — that is what makes resume
-// work. A state still attached to a live subscription means a duplicate
-// (subscriber, channel, handler) triple; the newcomer gets a fresh stream
-// rather than corrupting the live one.
-func (p *Publisher) acquireRelState(key relKey) *relState {
+// acquireRelState finds or creates the delivery stream for key and attaches
+// it to owner. A detached state (previous connection died) is adopted —
+// that is what makes resume work. A state still attached to a live
+// subscription means a duplicate (subscriber, channel, handler) triple; the
+// newcomer gets a fresh stream rather than corrupting the live one.
+func (p *Publisher) acquireRelState(key relKey, owner *subscription) *relState {
 	p.relMu.Lock()
 	defer p.relMu.Unlock()
 	if p.relStates == nil {
@@ -375,7 +377,26 @@ func (p *Publisher) acquireRelState(key relKey) *relState {
 		}
 	}
 	st.attached = true
+	st.owner = owner
 	return st
+}
+
+// staleStreamOwner returns the live subscription still attached to key's
+// delivery stream when a handshake resumes that very stream (resumeEpoch
+// names it). A subscriber holds one connection at a time, so such a resume
+// proves the attached session's link is dead even if its read loop has not
+// noticed yet — a half-open link, or a cut whose error has not reached the
+// control goroutine — or is retiring but has not detached the stream yet.
+// The caller retires it (retire waits for one already in progress) so the
+// resume adopts the stream instead of starting a fresh one. Nil when there
+// is no such owner.
+func (p *Publisher) staleStreamOwner(key relKey, resumeEpoch uint64) *subscription {
+	p.relMu.Lock()
+	defer p.relMu.Unlock()
+	if st := p.relStates[key]; resumeEpoch != 0 && st != nil && st.attached && st.epoch == resumeEpoch {
+		return st.owner
+	}
+	return nil
 }
 
 // detachRelState parks a retiring subscription's stream for adoption by a
@@ -386,6 +407,7 @@ func (p *Publisher) detachRelState(st *relState) {
 	}
 	p.relMu.Lock()
 	st.attached = false
+	st.owner = nil
 	st.detachedAt = time.Now()
 	if !st.registered {
 		p.relMu.Unlock()

@@ -2,11 +2,13 @@ package jecho
 
 import (
 	"testing"
+	"time"
 
 	"methodpart/internal/costmodel"
 	"methodpart/internal/imaging"
 	"methodpart/internal/mir/interp"
 	"methodpart/internal/partition"
+	"methodpart/internal/transport"
 	"methodpart/internal/wire"
 )
 
@@ -431,12 +433,12 @@ func TestHandleAckClampedCounted(t *testing.T) {
 func TestAcquireRelStateResumesAcrossRetire(t *testing.T) {
 	p := &Publisher{cfg: PublisherConfig{ReplayRingBytes: 1 << 20}}
 	key := relKey{subscriber: "s", channel: "c", handler: "h"}
-	st := p.acquireRelState(key)
+	st := p.acquireRelState(key, nil)
 	st.stage(relFrame(10))
 
 	// A duplicate live triple must get a fresh stream, not corrupt the
 	// live one — and being unregistered, it is freed on detach.
-	dup := p.acquireRelState(key)
+	dup := p.acquireRelState(key, nil)
 	if dup == st {
 		t.Fatal("duplicate live subscription adopted the live stream")
 	}
@@ -448,7 +450,7 @@ func TestAcquireRelStateResumesAcrossRetire(t *testing.T) {
 	// Retire then resubscribe: the same triple adopts the parked state with
 	// its sequence counter intact.
 	p.detachRelState(st)
-	again := p.acquireRelState(key)
+	again := p.acquireRelState(key, nil)
 	if again != st {
 		t.Fatal("resubscribe did not adopt the detached stream")
 	}
@@ -463,7 +465,7 @@ func TestDetachRelStateOrphanCap(t *testing.T) {
 	var first *relState
 	for i := 0; i <= maxOrphanRelStates; i++ {
 		key := relKey{subscriber: string(rune('a' + i%26)), channel: "c", handler: string(rune('A' + i/26))}
-		st := p.acquireRelState(key)
+		st := p.acquireRelState(key, nil)
 		st.stage(relFrame(10))
 		if i == 0 {
 			first = st
@@ -556,5 +558,109 @@ func TestRedeliverDeadLetters(t *testing.T) {
 	s.letters.drain()
 	if redelivered, requarantined := s.RedeliverDeadLetters(); redelivered != 0 || requarantined != 0 {
 		t.Fatalf("empty-ring pass = (%d, %d), want zeros", redelivered, requarantined)
+	}
+}
+
+// TestResumeRetiresStaleSession resumes an at-least-once stream while the
+// session that owns it still looks live to the publisher (its connection
+// was never closed, as on a half-open link). The resume names the stream's
+// epoch, so the publisher must retire the stale session and hand the
+// stream over — same epoch, the unacked tail replayed — rather than start
+// a fresh stream.
+func TestResumeRetiresStaleSession(t *testing.T) {
+	mem := transport.NewMem()
+	reg, _ := imaging.Builtins()
+	pub, err := NewPublisher(PublisherConfig{
+		Transport:         mem,
+		Builtins:          reg,
+		HeartbeatInterval: -1,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	hello := func(resumeSeq, resumeEpoch uint64) transport.Conn {
+		t.Helper()
+		conn, err := mem.Dial(pub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		data, err := wire.Marshal(&wire.Subscribe{
+			Protocol:    wire.ProtocolVersion,
+			Subscriber:  "resumer",
+			Handler:     imaging.HandlerName,
+			Source:      imaging.HandlerSource(64),
+			CostModel:   costmodel.DataSizeName,
+			Natives:     []string{"displayImage"},
+			Reliability: wire.ReliabilityAtLeastOnce,
+			ResumeSeq:   resumeSeq,
+			ResumeEpoch: resumeEpoch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.WriteFrame(data); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	next := func(conn transport.Conn) any {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		frame, err := conn.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+
+	stale := hello(0, 0)
+	start, ok := next(stale).(*wire.StreamStart)
+	if !ok {
+		t.Fatal("first frame of an at-least-once session is not a stream start")
+	}
+	// The stream start precedes registration; publish once the session
+	// has joined its class.
+	waitFor(t, "registration", func() bool { return pub.PlanClasses() == 1 })
+	const events = 5
+	for i := 0; i < events; i++ {
+		if _, err := pub.Publish(imaging.NewFrame(16, 16, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < events; i++ {
+		if _, ok := next(stale).(*wire.SeqEvent); !ok {
+			t.Fatalf("frame %d of the stale session is not a sequenced event", i)
+		}
+	}
+	staleID := pub.Subscriptions()[0].ID
+
+	// Resume from seq 2 without ever closing the stale connection.
+	fresh := hello(2, start.Epoch)
+	if got, ok := next(fresh).(*wire.StreamStart); !ok || got.Epoch != start.Epoch {
+		t.Fatalf("resume got stream start %+v, want the stale session's epoch %d", got, start.Epoch)
+	}
+	for want := uint64(3); want <= events; want++ {
+		se, ok := next(fresh).(*wire.SeqEvent)
+		if !ok || se.Seq != want {
+			t.Fatalf("replay frame = %+v, want seq %d", se, want)
+		}
+	}
+	infos := pub.Subscriptions()
+	if len(infos) != 1 || infos[0].ID == staleID {
+		t.Fatalf("subscriptions after the resume = %+v, want only the new session", infos)
+	}
+	_ = stale.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		if _, err := stale.ReadFrame(); err != nil {
+			break // the stale session's connection was closed by its retirement
+		}
 	}
 }

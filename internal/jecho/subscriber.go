@@ -178,9 +178,21 @@ type Subscriber struct {
 	mu          sync.Mutex
 	conn        transport.Conn
 	senderStats map[int32]costmodel.Stat
-	lastSplit   []int32
-	readErr     error
-	processed   uint64
+	// lastSplit and pushedVersion describe the last plan pushed to the
+	// publisher; diverged is set when feedback reports a publisher-side
+	// version ahead of pushedVersion (a breaker degrade, or a refused push),
+	// and forces the next selection out even if its cut is unchanged.
+	lastSplit     []int32
+	pushedVersion uint64
+	diverged      bool
+	readErr       error
+	processed     uint64
+
+	// rxStats and merged are scratch maps for the per-message profile
+	// merge, reused so a delivered event allocates no maps. Owned by the
+	// read loop (resync runs only between read loops).
+	rxStats map[int32]costmodel.Stat
+	merged  map[int32]costmodel.Stat
 
 	done     chan struct{}
 	stop     chan struct{} // closed by Close: aborts reconnect backoff
@@ -490,11 +502,13 @@ func (s *Subscriber) sendPlan(p *wire.Plan) error {
 	}
 	s.metrics.controlBytes.Add(uint64(len(data)) + transport.HeaderSize)
 	s.mu.Lock()
-	flipped := s.lastSplit != nil && !equalSplit(s.lastSplit, p.Split)
+	flipped := s.lastSplit != nil && !partition.EqualCut(s.lastSplit, p.Split)
 	if flipped {
 		s.metrics.planFlips.Add(1)
 	}
-	s.lastSplit = append([]int32(nil), p.Split...)
+	s.lastSplit = append(s.lastSplit[:0], p.Split...)
+	s.pushedVersion = p.Version
+	s.diverged = false
 	s.mu.Unlock()
 	if flipped {
 		tracePlanFlip(s.cfg.Tracer, s.cfg.Channel, s.cfg.Name, p.Version, p.Split)
@@ -591,15 +605,11 @@ func (s *Subscriber) resync(conn transport.Conn) error {
 		// re-requested on this one.
 		s.rel.resetRequests()
 	}
-	s.mu.Lock()
-	merged := profileunit.Merge(s.senderStats, s.coll.Snapshot())
-	s.mu.Unlock()
-	s.runit.SetTripped(s.breaker.OpenIDs())
-	plan, wirePlan, err := s.runit.SelectPlan(merged)
+	merged, _ := s.mergeStats()
+	plan, wirePlan, err := s.selectPlan(merged)
 	if err != nil {
 		return err
 	}
-	traceMinCut(s.cfg.Tracer, s.cfg.Channel, s.cfg.Name, s.runit)
 	s.demod.SetProfilePlan(plan)
 	return s.sendPlan(wirePlan)
 }
@@ -1039,6 +1049,10 @@ func (s *Subscriber) sendNack(n *wire.Nack) {
 // plan version; fast-forwarding the reconfiguration unit past it keeps
 // locally selected plans from being rejected as stale after the publisher's
 // degrade path forced a version on its own.
+//
+// A reported version ahead of the last one pushed means the publisher
+// diverged from this subscriber's plan (a degrade, or a refused push), so
+// the next selection is pushed even when its cut has not changed.
 func (s *Subscriber) applyFeedback(fb *wire.Feedback) {
 	s.runit.ObserveVersion(fb.PlanVersion)
 	stats := profileunit.FromWire(fb)
@@ -1048,6 +1062,9 @@ func (s *Subscriber) applyFeedback(fb *wire.Feedback) {
 	})
 	tripped := false
 	s.mu.Lock()
+	if fb.PlanVersion > s.pushedVersion {
+		s.diverged = true
+	}
 	for id, st := range stats {
 		prev := s.senderStats[id]
 		s.senderStats[id] = st
@@ -1066,13 +1083,21 @@ func (s *Subscriber) applyFeedback(fb *wire.Feedback) {
 	}
 }
 
+// mergeStats refreshes the merged (sender + receiver) profile in the read
+// loop's scratch maps and returns it with the processed count. The map is
+// overwritten by the next call.
+func (s *Subscriber) mergeStats() (map[int32]costmodel.Stat, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rxStats = s.coll.SnapshotInto(s.rxStats)
+	s.merged = profileunit.MergeInto(s.merged, s.senderStats, s.rxStats)
+	return s.merged, s.processed
+}
+
 // maybeReconfigure runs the reconfiguration unit when the triggers fire and
 // pushes any changed plan back to the publisher.
 func (s *Subscriber) maybeReconfigure() {
-	s.mu.Lock()
-	merged := profileunit.Merge(s.senderStats, s.coll.Snapshot())
-	messages := s.processed
-	s.mu.Unlock()
+	merged, messages := s.mergeStats()
 	if !s.trigger.ShouldReport(merged, messages) {
 		return
 	}
@@ -1082,24 +1107,40 @@ func (s *Subscriber) maybeReconfigure() {
 // reconfigure recomputes the plan immediately, bypassing the triggers —
 // used when a breaker trip makes the active plan unhealthy *now*.
 func (s *Subscriber) reconfigure() {
-	s.mu.Lock()
-	merged := profileunit.Merge(s.senderStats, s.coll.Snapshot())
-	s.mu.Unlock()
+	merged, _ := s.mergeStats()
 	s.reconfigureWith(merged)
 }
 
-// reconfigureWith applies the breaker's exclusions to the reconfiguration
-// unit, selects a plan for the given statistics, and pushes it. Only the
-// read loop (and resync, which never runs concurrently with it) calls this,
-// so runit access stays serialized.
-func (s *Subscriber) reconfigureWith(merged map[int32]costmodel.Stat) {
+// selectPlan applies the breaker's exclusions to the reconfiguration unit
+// and selects a plan for the given statistics. Only the read loop (and
+// resync, which never runs concurrently with it) calls this, so runit
+// access stays serialized.
+func (s *Subscriber) selectPlan(merged map[int32]costmodel.Stat) (*partition.Plan, *wire.Plan, error) {
 	s.runit.SetTripped(s.breaker.OpenIDs())
 	plan, wirePlan, err := s.runit.SelectPlan(merged)
+	if err != nil {
+		return nil, nil, err
+	}
+	traceMinCut(s.cfg.Tracer, s.cfg.Channel, s.cfg.Name, s.runit)
+	return plan, wirePlan, nil
+}
+
+// reconfigureWith selects a plan and pushes it when its cut differs from
+// the last one pushed or the publisher has diverged. Selection runs at the
+// triggers' cadence either way; only the push is skipped, so a steady cut
+// costs no plan frame and no class migration at the publisher.
+func (s *Subscriber) reconfigureWith(merged map[int32]costmodel.Stat) {
+	plan, wirePlan, err := s.selectPlan(merged)
 	if err != nil {
 		s.cfg.Logf("jecho subscriber: reconfigure: %v", err)
 		return
 	}
-	traceMinCut(s.cfg.Tracer, s.cfg.Channel, s.cfg.Name, s.runit)
+	s.mu.Lock()
+	push := s.diverged || !partition.EqualCut(s.lastSplit, wirePlan.Split)
+	s.mu.Unlock()
+	if !push {
+		return
+	}
 	s.demod.SetProfilePlan(plan)
 	if err := s.sendPlan(wirePlan); err != nil {
 		s.cfg.Logf("jecho subscriber: send plan: %v", err)

@@ -9,6 +9,7 @@ package partition
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"methodpart/internal/analysis"
 	"methodpart/internal/costmodel"
@@ -59,6 +60,12 @@ type Compiled struct {
 	Engine Engine
 
 	pseByEdge map[analysis.Edge]int32
+
+	// cuts memoizes ConvexCuts per candidate cap; cutEnumerations counts
+	// the enumerations actually run. Both guarded by cutsMu.
+	cutsMu          sync.Mutex
+	cuts            map[int][][]int32
+	cutEnumerations int
 }
 
 // Compile analyses prog under the model and builds the PSE table. The

@@ -119,6 +119,12 @@ func (m *Modulator) SetPlan(p *Plan) bool {
 	}
 }
 
+// ReplacePlan installs p unconditionally, bypassing SetPlan's version gate.
+// It is for owners that track plan versions themselves: a publisher-side
+// plan class serves members with independent version histories, so the
+// version of its modulator's plan belongs to none of them.
+func (m *Modulator) ReplacePlan(p *Plan) { m.plan.Store(p) }
+
 // ErrStalePlan reports a wire plan rejected because its version does not
 // advance past the active plan's — e.g. the peer's version counter lags a
 // plan installed locally. Callers distinguish it from validation errors with

@@ -14,8 +14,8 @@ type Plan struct {
 	// splitIDs caches the flagged ids for wire encoding.
 	splitIDs   []int32
 	profileIDs []int32
-	// fingerprint caches the FNV-1a hash over (version, split set,
-	// profile set); see Fingerprint.
+	// fingerprint caches the FNV-1a hash over (split set, profile set);
+	// see Fingerprint.
 	fingerprint uint64
 }
 
@@ -64,7 +64,7 @@ func NewPlan(numPSEs int, version uint64, splitIDs, profileIDs []int32) (*Plan, 
 	p.raw = numPSEs > 0 && p.split[RawPSEID]
 	p.splitIDs = SortedIDs(p.splitIDs)
 	p.profileIDs = SortedIDs(p.profileIDs)
-	h := fnvMix64(fnvOffset64, p.version)
+	h := uint64(fnvOffset64)
 	for _, id := range p.splitIDs {
 		h = fnvMix64(h, uint64(id))
 	}
@@ -79,10 +79,11 @@ func NewPlan(numPSEs int, version uint64, splitIDs, profileIDs []int32) (*Plan, 
 }
 
 // Fingerprint is a stable 64-bit identity of the plan's observable
-// behaviour: version plus the sorted split and profile sets. Two plans of
-// the same handler with equal fingerprints modulate every event
-// identically, which is what lets the publisher pool subscriptions into
-// plan-equivalence classes.
+// behaviour: the sorted split and profile sets. The version is not part of
+// it — two plans of the same handler that differ only in version modulate
+// every event identically, which is what lets the publisher pool
+// subscriptions with different plan histories into one plan-equivalence
+// class.
 func (p *Plan) Fingerprint() uint64 { return p.fingerprint }
 
 // Version returns the plan version.

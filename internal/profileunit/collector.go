@@ -168,13 +168,23 @@ func (c *Collector) Messages() uint64 {
 // demodulator-side work of a PSE that is not currently split is estimated
 // as totalWork − modWork(PSE), as observed profiles allow (§4.2).
 func (c *Collector) Snapshot() map[int32]costmodel.Stat {
+	return c.SnapshotInto(make(map[int32]costmodel.Stat, c.numPSEs))
+}
+
+// SnapshotInto is Snapshot written into out, which is cleared first (and
+// allocated when nil), so a caller snapshotting every message can reuse one
+// map. It returns out.
+func (c *Collector) SnapshotInto(out map[int32]costmodel.Stat) map[int32]costmodel.Stat {
+	if out == nil {
+		out = make(map[int32]costmodel.Stat, c.numPSEs)
+	}
+	clear(out)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	denom := c.messages
 	if c.completed > denom {
 		denom = c.completed
 	}
-	out := make(map[int32]costmodel.Stat, c.numPSEs)
 	for id := 0; id < c.numPSEs; id++ {
 		a := &c.pses[id]
 		st := costmodel.Stat{Count: a.crossings, Failures: a.failures}
@@ -270,7 +280,16 @@ func FromWire(fb *wire.Feedback) map[int32]costmodel.Stat {
 // byte sizes come from the other side, and the receiver's demodulator-work
 // observation always wins.
 func Merge(sender, receiver map[int32]costmodel.Stat) map[int32]costmodel.Stat {
-	out := make(map[int32]costmodel.Stat, len(sender)+len(receiver))
+	return MergeInto(make(map[int32]costmodel.Stat, len(sender)+len(receiver)), sender, receiver)
+}
+
+// MergeInto is Merge written into out, which is cleared first (and
+// allocated when nil) and must alias neither input. It returns out.
+func MergeInto(out, sender, receiver map[int32]costmodel.Stat) map[int32]costmodel.Stat {
+	if out == nil {
+		out = make(map[int32]costmodel.Stat, len(sender)+len(receiver))
+	}
+	clear(out)
 	for id, st := range sender {
 		out[id] = st
 	}

@@ -362,3 +362,82 @@ func TestTimeTriggerBoundary(t *testing.T) {
 		t.Error("default-period trigger idle at one second")
 	}
 }
+
+// TestRateTriggerFallingCount feeds the count a publisher-side subscription
+// sees when it migrates into a younger plan class: the class collector's
+// message count drops below the last report. The trigger must rebase and
+// keep its period, not read the uint64 difference as a huge gap and fire.
+func TestRateTriggerFallingCount(t *testing.T) {
+	tr := &RateTrigger{EveryMessages: 10}
+	if !tr.ShouldReport(nil, 500) {
+		t.Fatal("first period did not fire")
+	}
+	for _, m := range []uint64{3, 4, 12} {
+		if tr.ShouldReport(nil, m) {
+			t.Fatalf("fired at count %d after the count fell from 500 to 3", m)
+		}
+	}
+	if !tr.ShouldReport(nil, 13) {
+		t.Error("did not fire one period after the rebase at 3")
+	}
+	if tr.ShouldReport(nil, 0) {
+		t.Error("fired when the count fell to 0")
+	}
+}
+
+// TestDiffTriggerCopiesBaseline reuses one snapshot map across calls, as the
+// subscriber's per-message merge does: the trigger must keep its own copy of
+// the reported baseline, or rewriting the map would move the baseline with
+// it and a large change would never fire.
+func TestDiffTriggerCopiesBaseline(t *testing.T) {
+	tr := &DiffTrigger{Threshold: 0.2, MinMessages: 1}
+	snap := map[int32]costmodel.Stat{1: {Bytes: 100, Prob: 1}}
+	if !tr.ShouldReport(snap, 1) {
+		t.Fatal("first snapshot should report")
+	}
+	snap[1] = costmodel.Stat{Bytes: 300, Prob: 1}
+	if !tr.ShouldReport(snap, 2) {
+		t.Error("200% change in a reused map did not fire")
+	}
+	if tr.ShouldReport(snap, 3) {
+		t.Error("re-fired without further change")
+	}
+}
+
+// TestIntoVariantsMatchAndReuse checks SnapshotInto and MergeInto produce
+// exactly what Snapshot and Merge do, clear stale entries from the reused
+// map, and allocate nothing once warm.
+func TestIntoVariantsMatchAndReuse(t *testing.T) {
+	c := NewCollector(4)
+	c.Message(1000)
+	c.Cross(1, 10, 400)
+	c.Cross(2, 20, 200)
+	c.Done(2, 20, 30)
+	sender := map[int32]costmodel.Stat{1: {Count: 7, Bytes: 500}, 3: {Count: 2, Bytes: 9}}
+
+	snap := map[int32]costmodel.Stat{99: {Count: 1}}
+	merged := map[int32]costmodel.Stat{98: {Count: 1}}
+	snap = c.SnapshotInto(snap)
+	merged = MergeInto(merged, sender, snap)
+	wantSnap := c.Snapshot()
+	wantMerged := Merge(sender, wantSnap)
+	for _, tc := range []struct {
+		name      string
+		got, want map[int32]costmodel.Stat
+	}{{"snapshot", snap, wantSnap}, {"merge", merged, wantMerged}} {
+		if len(tc.got) != len(tc.want) {
+			t.Errorf("%s: %d entries, want %d: %v", tc.name, len(tc.got), len(tc.want), tc.got)
+		}
+		for id, st := range tc.want {
+			if tc.got[id] != st {
+				t.Errorf("%s[%d] = %+v, want %+v", tc.name, id, tc.got[id], st)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		snap = c.SnapshotInto(snap)
+		merged = MergeInto(merged, sender, snap)
+	}); allocs != 0 {
+		t.Errorf("warm SnapshotInto+MergeInto allocated %.1f times per run, want 0", allocs)
+	}
+}

@@ -32,6 +32,14 @@ func (t *RateTrigger) ShouldReport(_ map[int32]costmodel.Stat, messages uint64) 
 	if period == 0 {
 		period = 1
 	}
+	if messages < t.lastReport {
+		// The count fell: its source was replaced by a younger one (a
+		// publisher-side subscription migrating into a fresh or younger
+		// plan class). Rebase rather than let the uint64 difference wrap
+		// into a spurious report.
+		t.lastReport = messages
+		return false
+	}
 	if messages-t.lastReport >= period {
 		t.lastReport = messages
 		return true
@@ -74,7 +82,8 @@ func (t *TimeTrigger) ShouldReport(_ map[int32]costmodel.Stat, _ uint64) bool {
 
 // DiffTrigger fires when any PSE statistic moved by more than Threshold
 // (relative) since the last report — the paper's "profiling data for one of
-// the PSEs has changed significantly".
+// the PSEs has changed significantly". It keeps its own copy of the
+// snapshot it last reported, so callers may reuse the map they pass.
 type DiffTrigger struct {
 	// Threshold is the relative change that triggers a report (e.g. 0.2).
 	Threshold float64
@@ -90,7 +99,7 @@ func (t *DiffTrigger) ShouldReport(snap map[int32]costmodel.Stat, messages uint6
 		return false
 	}
 	if t.last == nil {
-		t.last = snap
+		t.remember(snap)
 		return true
 	}
 	th := t.Threshold
@@ -100,18 +109,29 @@ func (t *DiffTrigger) ShouldReport(snap map[int32]costmodel.Stat, messages uint6
 	for id, st := range snap {
 		prev, ok := t.last[id]
 		if !ok {
-			t.last = snap
+			t.remember(snap)
 			return true
 		}
 		if relDiff(st.Bytes, prev.Bytes) > th ||
 			relDiff(st.ModWork, prev.ModWork) > th ||
 			relDiff(st.DemodWork, prev.DemodWork) > th ||
 			math.Abs(st.Prob-prev.Prob) > th {
-			t.last = snap
+			t.remember(snap)
 			return true
 		}
 	}
 	return false
+}
+
+// remember copies snap into the trigger's baseline, reusing its map.
+func (t *DiffTrigger) remember(snap map[int32]costmodel.Stat) {
+	if t.last == nil {
+		t.last = make(map[int32]costmodel.Stat, len(snap))
+	}
+	clear(t.last)
+	for id, st := range snap {
+		t.last[id] = st
+	}
 }
 
 func relDiff(a, b float64) float64 {

@@ -5,13 +5,10 @@ import (
 	"sort"
 	"strings"
 
-	"methodpart/internal/analysis"
 	"methodpart/internal/costmodel"
 	"methodpart/internal/graph"
 	"methodpart/internal/partition"
 )
-
-func edgeOf(a, b int) analysis.Edge { return analysis.Edge{From: a, To: b} }
 
 // SLOPolicy names the service-level objective a channel optimises for when
 // picking its operating point off the Pareto front. The zero value is
@@ -89,7 +86,9 @@ const DefaultMaxCandidates = 64
 // (Balanced=true) even where another point dominates it, so operators
 // always see the legacy choice alongside the front.
 type FrontPoint struct {
-	// Cut is the split set (sorted PSE ids).
+	// Cut is the split set (sorted PSE ids). It may alias the handler's
+	// shared cut enumeration (partition.Compiled.ConvexCuts); do not
+	// modify it.
 	Cut []int32
 	// Vec is the cut's cost vector (sum of its PSE vectors).
 	Vec costmodel.Vector
@@ -100,124 +99,6 @@ type FrontPoint struct {
 	Balanced bool
 	// Chosen marks the point the active policy selected.
 	Chosen bool
-}
-
-// nodeSet is a bitset over Unit Graph nodes.
-type nodeSet []uint64
-
-func newNodeSet(n int) nodeSet   { return make(nodeSet, (n+63)/64) }
-func (s nodeSet) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
-func (s nodeSet) add(i int)      { s[i/64] |= 1 << uint(i%64) }
-func (s nodeSet) clone() nodeSet { return append(nodeSet(nil), s...) }
-func (s nodeSet) key() string    { return fmt.Sprint([]uint64(s)) }
-
-// enumerateCuts lists candidate convex cuts of the Unit Graph, each as a
-// sorted PSE id set. A candidate is the PSE frontier of a "closed" source
-// set S: closed under non-PSE edges (so the cut never crosses an uncuttable
-// edge) and containing no StopNode (so no modulator-side path leaks past
-// the cut — the same invariant partition.ValidateSplitSet checks). The
-// enumeration BFSes from the minimal closed set, advancing one frontier PSE
-// at a time, and stops after max candidates. The raw cut {RawPSEID} is
-// always the first candidate.
-func (u *Unit) enumerateCuts(max int) [][]int32 {
-	ug := u.c.Analysis.UG
-	n := ug.Exit + 1
-	stops := u.c.Analysis.Stops
-
-	// closure grows S along non-PSE edges; returns false if a StopNode
-	// joins S (no valid cut separates this source set from the stops).
-	closure := func(s nodeSet) bool {
-		work := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if s.has(i) {
-				work = append(work, i)
-			}
-		}
-		for len(work) > 0 {
-			a := work[len(work)-1]
-			work = work[:len(work)-1]
-			if stops[a] {
-				return false
-			}
-			for _, b := range ug.G.Succ(a) {
-				if s.has(b) {
-					continue
-				}
-				if _, isPSE := u.c.PSEByEdge(edgeOf(a, b)); isPSE {
-					continue
-				}
-				s.add(b)
-				work = append(work, b)
-			}
-		}
-		return true
-	}
-
-	// frontier returns the PSE ids crossing out of S, sorted.
-	frontier := func(s nodeSet) []int32 {
-		seen := map[int32]bool{}
-		var ids []int32
-		for a := 0; a < n; a++ {
-			if !s.has(a) {
-				continue
-			}
-			for _, b := range ug.G.Succ(a) {
-				if s.has(b) {
-					continue
-				}
-				if id, ok := u.c.PSEByEdge(edgeOf(a, b)); ok && !seen[id] {
-					seen[id] = true
-					ids = append(ids, id)
-				}
-			}
-		}
-		return partition.SortedIDs(ids)
-	}
-
-	cuts := [][]int32{{partition.RawPSEID}}
-	cutSeen := map[string]bool{cutKey(cuts[0]): true}
-
-	s0 := newNodeSet(n)
-	s0.add(ug.Start)
-	if !closure(s0) {
-		return cuts
-	}
-	queue := []nodeSet{s0}
-	setSeen := map[string]bool{s0.key(): true}
-
-	for len(queue) > 0 && len(cuts) < max {
-		s := queue[0]
-		queue = queue[1:]
-		cut := frontier(s)
-		if len(cut) > 0 && !cutSeen[cutKey(cut)] {
-			cutSeen[cutKey(cut)] = true
-			cuts = append(cuts, cut)
-		}
-		// Advance across each frontier PSE edge in turn.
-		for a := 0; a < n; a++ {
-			if !s.has(a) {
-				continue
-			}
-			for _, b := range ug.G.Succ(a) {
-				if s.has(b) {
-					continue
-				}
-				if _, ok := u.c.PSEByEdge(edgeOf(a, b)); !ok {
-					continue
-				}
-				next := s.clone()
-				next.add(b)
-				if !closure(next) {
-					continue
-				}
-				if k := next.key(); !setSeen[k] {
-					setSeen[k] = true
-					queue = append(queue, next)
-				}
-			}
-		}
-	}
-	return cuts
 }
 
 // vectorFor is the per-PSE cost vector: profiled where statistics exist,
@@ -243,10 +124,12 @@ func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environm
 	if max <= 0 {
 		max = DefaultMaxCandidates
 	}
-	cuts := u.enumerateCuts(max)
-	balKey := cutKey(balCut)
-	if !containsCut(cuts, balKey) {
-		cuts = append(cuts, balCut)
+	// The enumeration is shared with every unit on this handler; the
+	// full slice expression makes the append copy instead of writing into
+	// the shared backing array.
+	cuts := u.c.ConvexCuts(max)
+	if !partition.ContainsCut(cuts, balCut) {
+		cuts = append(cuts[:len(cuts):len(cuts)], balCut)
 	}
 
 	points := make([]FrontPoint, 0, len(cuts))
@@ -257,7 +140,7 @@ func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environm
 			value += u.capacityFor(id, stats, env)
 			vec = vec.Add(u.vectorFor(id, stats, env))
 		}
-		bal := cutKey(cut) == balKey
+		bal := partition.EqualCut(cut, balCut)
 		if bal {
 			value = balValue
 		}
@@ -378,27 +261,4 @@ func cutLess(a, b []int32) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-func cutKey(cut []int32) string { return fmt.Sprint(cut) }
-
-func containsCut(cuts [][]int32, key string) bool {
-	for _, c := range cuts {
-		if cutKey(c) == key {
-			return true
-		}
-	}
-	return false
-}
-
-func equalCut(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -266,3 +266,66 @@ func contains(cut []int32, id int32) bool {
 	}
 	return false
 }
+
+// TestUnitsShareCutEnumeration checks that every unit on one handler prices
+// the handler's single cached cut enumeration (front cuts alias its
+// entries), and that pinning a balanced cut missing from a capped
+// enumeration never writes into the shared list.
+func TestUnitsShareCutEnumeration(t *testing.T) {
+	c := compileRich(t, costmodel.NewDataSize())
+	shared := c.ConvexCuts(reconfig.DefaultMaxCandidates)
+	aliased := func(cut []int32) bool {
+		for _, s := range shared {
+			if len(s) > 0 && len(cut) > 0 && &s[0] == &cut[0] {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < 2; i++ {
+		u := reconfig.NewUnit(c, costmodel.DefaultEnvironment())
+		if _, _, err := u.SelectPlan(nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range u.LastExplanation().Front {
+			if !aliased(p.Cut) && !p.Balanced {
+				t.Errorf("unit %d: front cut %v is not from the shared enumeration", i, p.Cut)
+			}
+		}
+	}
+
+	// Under small caps the balanced cut falls outside the enumeration and
+	// is appended per selection; the spare capacity of the shared list
+	// must stay untouched.
+	deep := make(map[int32]costmodel.Stat, c.NumPSEs())
+	for id := int32(0); id < int32(c.NumPSEs()); id++ {
+		deep[id] = costmodel.Stat{Count: 10, Prob: 1, Bytes: 10}
+	}
+	// Make the last-enumerated cut [1 4] the min-cut: dear raw, 2 and 3.
+	for _, id := range []int32{partition.RawPSEID, 2, 3} {
+		deep[id] = costmodel.Stat{Count: 10, Prob: 1, Bytes: 1e6}
+	}
+	appended := false
+	for max := 1; max <= 4; max++ {
+		capped := c.ConvexCuts(max)
+		u := reconfig.NewUnit(c, costmodel.DefaultEnvironment())
+		u.MaxCandidates = max
+		if _, _, err := u.SelectPlan(deep); err != nil {
+			t.Fatal(err)
+		}
+		if !partition.ContainsCut(capped, u.LastExplanation().Cut) {
+			appended = true
+		}
+		if got := c.ConvexCuts(max); len(got) != len(capped) {
+			t.Errorf("cap %d: shared list grew from %d to %d cuts", max, len(capped), len(got))
+		}
+		for _, spare := range capped[len(capped):cap(capped)] {
+			if spare != nil {
+				t.Errorf("cap %d: selection wrote %v past the shared list's end", max, spare)
+			}
+		}
+	}
+	if !appended {
+		t.Fatal("no cap left the balanced cut out; the append path went unexercised")
+	}
+}

@@ -215,7 +215,7 @@ func (u *Unit) SelectPlan(stats map[int32]costmodel.Stat) (*partition.Plan, *wir
 	chosen, suppressed := u.applyHysteresis(front, chosen)
 	cut = front[chosen].Cut
 	front[chosen].Chosen = true
-	if u.hasLast && !equalCut(u.lastCut, cut) {
+	if u.hasLast && !partition.EqualCut(u.lastCut, cut) {
 		u.policyFlips.Add(1)
 	}
 	u.lastCut = append(u.lastCut[:0], cut...)
@@ -260,14 +260,14 @@ func (u *Unit) applyHysteresis(front []FrontPoint, chosen int) (int, bool) {
 		reset()
 		return chosen, false
 	}
-	if equalCut(u.lastCut, front[chosen].Cut) {
+	if partition.EqualCut(u.lastCut, front[chosen].Cut) {
 		// Policy re-confirmed the incumbent; any challenger streak dies.
 		reset()
 		return chosen, false
 	}
 	incumbent := -1
 	for i := range front {
-		if equalCut(front[i].Cut, u.lastCut) {
+		if partition.EqualCut(front[i].Cut, u.lastCut) {
 			incumbent = i
 			break
 		}
@@ -288,7 +288,7 @@ func (u *Unit) applyHysteresis(front []FrontPoint, chosen int) (int, bool) {
 		u.flipsSuppressed.Add(1)
 		return incumbent, true
 	}
-	if u.pendingStreak > 0 && equalCut(u.pendingCut, front[chosen].Cut) {
+	if u.pendingStreak > 0 && partition.EqualCut(u.pendingCut, front[chosen].Cut) {
 		u.pendingStreak++
 	} else {
 		u.pendingCut = append(u.pendingCut[:0], front[chosen].Cut...)
