@@ -177,7 +177,7 @@ func (o *observability) start() error {
 		return err
 	}
 	o.server = srv
-	fmt.Printf("debug listener at http://%s (/metrics /metrics.json /debug/split /debug/trace)\n", srv.Addr())
+	fmt.Printf("debug listener at http://%s (/metrics /metrics.json /debug/split /debug/trace /debug/pprof/)\n", srv.Addr())
 	return nil
 }
 

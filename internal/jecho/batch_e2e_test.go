@@ -11,6 +11,23 @@ import (
 	"methodpart/internal/wire"
 )
 
+// awaitEventsSent is the publisher-side fence for the send accounting: the
+// sender goroutine counts a frame only after its write returns, so a peer
+// can hold the last frame before the publisher has counted it. It waits
+// until the subscription has counted n events sent (or times out) and
+// returns its metrics.
+func awaitEventsSent(t *testing.T, pub *jecho.Publisher, name string, n uint64) jecho.ChannelMetrics {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m := findSub(t, pub, name).Metrics
+		if m.EventsSent >= n || time.Now().After(deadline) {
+			return m
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBatchedDeliveryEndToEnd: with batching enabled and a v4 subscriber, a
 // publish burst arrives complete, some of it coalesced into batch frames,
 // and the send accounting balances once the channel quiesces.
@@ -31,7 +48,7 @@ func TestBatchedDeliveryEndToEnd(t *testing.T) {
 	}
 	waitCount(t, res, events)
 
-	m := findSub(t, pub, "batched").Metrics
+	m := awaitEventsSent(t, pub, "batched", events)
 	if m.EventsSent != events {
 		t.Errorf("EventsSent = %d, want %d", m.EventsSent, events)
 	}
@@ -109,7 +126,7 @@ func TestV3SubscriberGetsUnbatchedFrames(t *testing.T) {
 			// Heartbeats and feedback are fine; skip them.
 		}
 	}
-	m := findSub(t, pub, "legacy").Metrics
+	m := awaitEventsSent(t, pub, "legacy", events)
 	if m.BatchesSent != 0 {
 		t.Errorf("BatchesSent = %d for a v3 peer, want 0", m.BatchesSent)
 	}

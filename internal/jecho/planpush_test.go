@@ -134,6 +134,8 @@ func pushedPlan(s *Subscriber) ([]int32, uint64) {
 func TestSteadyCutPushesNoPlans(t *testing.T) {
 	h := newPushHarness(t, "steady")
 	h.publish(t, 3*pushEvery, h.sub)
+	_, pushed := pushedPlan(h.sub)
+	h.awaitPublisherPlan(t, pushed)
 	plans0 := h.counter.plans.Load()
 	selections0 := h.sub.runit.LastExplanation().Version
 	info0 := h.pub.Subscriptions()[0]
@@ -205,6 +207,18 @@ func TestEqualCutsShareClassAcrossVersions(t *testing.T) {
 	}
 }
 
+// awaitPublisherPlan is the publisher-side fence: a subscriber that has
+// written a plan push has not had it applied yet, because the publisher's
+// read loop handles the frame asynchronously. It waits until the
+// publisher's subscription runs at least the given version.
+func (h *pushHarness) awaitPublisherPlan(t *testing.T, version uint64) {
+	t.Helper()
+	waitFor(t, "the publisher to apply the pushed plan", func() bool {
+		infos := h.pub.Subscriptions()
+		return len(infos) == 1 && infos[0].PlanVersion >= version
+	})
+}
+
 // TestDegradeForcesRepushOfUnchangedCut has the publisher force a degrade
 // (a local plan under a version the subscriber never pushed). The
 // subscriber's cut does not change, yet it must re-push it once feedback
@@ -214,6 +228,7 @@ func TestDegradeForcesRepushOfUnchangedCut(t *testing.T) {
 	h := newPushHarness(t, "degraded")
 	h.publish(t, 3*pushEvery, h.sub)
 	split0, version0 := pushedPlan(h.sub)
+	h.awaitPublisherPlan(t, version0)
 	plans0 := h.counter.plans.Load()
 
 	// Trip the raw PSE — outside the settled cut, so the subscriber's
@@ -241,6 +256,7 @@ func TestDegradeForcesRepushOfUnchangedCut(t *testing.T) {
 	if got := h.counter.plans.Load() - plans0; got != 1 {
 		t.Errorf("%d plan frames after the degrade, want exactly one re-push", got)
 	}
+	h.awaitPublisherPlan(t, version)
 	info := h.pub.Subscriptions()[0]
 	if info.PlanVersion != version || !partition.EqualCut(info.SplitIDs, split) {
 		t.Errorf("publisher runs v%d %v, subscriber pushed v%d %v", info.PlanVersion, info.SplitIDs, version, split)

@@ -8,6 +8,7 @@ import (
 
 	"methodpart/internal/mir"
 	"methodpart/internal/mir/asm"
+	"methodpart/internal/wire"
 )
 
 // compileOrDie lowers a parsed program with the given watch set.
@@ -551,6 +552,21 @@ func TestEngineSplitParity(t *testing.T) {
 			if cv, ok := csnap[k]; !ok || !mir.Equal(sv, cv) {
 				t.Errorf("%s: snapshot %q: compiled %v, stepping %v", label, k, cv, sv)
 			}
+		}
+		// LiveSize prices the registers in place exactly as a Sizer
+		// prices the snapshot, on both engines.
+		var want int64
+		sz := wire.NewSizer()
+		for _, n := range prog.Registers() {
+			if v, ok := ssnap[n]; ok {
+				want += wire.NameSize(n) + sz.Size(v)
+			}
+		}
+		if got := sm.LiveSize(prog.Registers(), wire.NewSizer()); got != want {
+			t.Errorf("%s: stepping LiveSize %d, snapshot prices %d", label, got, want)
+		}
+		if got := cm.LiveSize(prog.Registers(), wire.NewSizer()); got != want {
+			t.Errorf("%s: compiled LiveSize %d, snapshot prices %d", label, got, want)
 		}
 		cm.Release()
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"methodpart/internal/mir"
+	"methodpart/internal/wire"
 )
 
 // skind tags the representation of a value held in a slot register.
@@ -228,6 +229,29 @@ func (m *CodeMachine) Snapshot(names []string) map[string]mir.Value {
 		}
 	}
 	return out
+}
+
+// LiveSize returns the encoded size the named registers would have as a
+// continuation's variables — what wire.Sizer prices a Snapshot of them
+// at — without building the snapshot. Unset registers are skipped;
+// unboxed scalars are priced without boxing them.
+func (m *CodeMachine) LiveSize(names []string, s *wire.Sizer) int64 {
+	var total int64
+	for _, n := range names {
+		idx, ok := m.code.slotOf[n]
+		if !ok {
+			continue
+		}
+		switch sl := &m.regs[idx]; sl.kind {
+		case skInt, skFloat:
+			total += wire.NameSize(n) + wire.NumSize
+		case skBool:
+			total += wire.NameSize(n) + wire.BoolSize
+		case skBoxed:
+			total += wire.NameSize(n) + s.Size(sl.v)
+		}
+	}
+	return total
 }
 
 // Run executes until the program returns, the hook requests a split at a

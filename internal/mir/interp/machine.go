@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"methodpart/internal/mir"
+	"methodpart/internal/wire"
 )
 
 // Edge is a directed control-flow edge of the Unit Graph, identified by the
@@ -113,6 +114,19 @@ func (m *Machine) Snapshot(names []string) map[string]mir.Value {
 		}
 	}
 	return out
+}
+
+// LiveSize returns the encoded size the named registers would have as a
+// continuation's variables — what wire.Sizer prices a Snapshot of them
+// at — without building the snapshot. Unset registers are skipped.
+func (m *Machine) LiveSize(names []string, s *wire.Sizer) int64 {
+	var total int64
+	for _, n := range names {
+		if v, ok := m.regs[n]; ok {
+			total += wire.NameSize(n) + s.Size(v)
+		}
+	}
+	return total
 }
 
 // SetHook installs (or clears) the edge hook — the method form of writing

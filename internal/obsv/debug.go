@@ -31,6 +31,8 @@ type DebugConfig struct {
 //	/metrics.json  the same samples as JSON
 //	/debug/split   the live split table as JSON (see EndpointStatus)
 //	/debug/trace   the retained trace ring as JSON lines
+//	/debug/pprof/  the Go runtime profiles and execution trace, always on;
+//	               served from this listener only (see handlePprof)
 //
 // The listener is plain HTTP intended for loopback or otherwise trusted
 // interfaces; it exposes internal state and has no authentication.
@@ -70,6 +72,7 @@ func StartDebug(cfg DebugConfig) (*DebugServer, error) {
 			_ = cfg.Tracer.WriteJSON(w)
 		})
 	}
+	handlePprof(mux)
 	s := &DebugServer{
 		ln:  ln,
 		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},

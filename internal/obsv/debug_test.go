@@ -100,3 +100,52 @@ func TestDebugServerNilRoutes(t *testing.T) {
 		}
 	}
 }
+
+// TestDebugServerPprof: the standard Go profiles are mounted on every
+// debug listener, whatever the config.
+func TestDebugServerPprof(t *testing.T) {
+	srv, err := StartDebug(DebugConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	code, _, body := getBody(t, "http://"+srv.Addr()+"/debug/pprof/heap?debug=1")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/pprof/heap status %d, want 200", code)
+	}
+	if !strings.Contains(body, "heap profile") {
+		t.Fatalf("/debug/pprof/heap body does not look like a heap profile:\n%.200s", body)
+	}
+	base := "http://" + srv.Addr() + "/debug/pprof/"
+	if code, _, body := getBody(t, base); code != http.StatusOK || !strings.Contains(body, "goroutine\t") {
+		t.Fatalf("/debug/pprof/ index: status %d, body:\n%.200s", code, body)
+	}
+	if code, _, _ := getBody(t, base+"nosuchprofile"); code != http.StatusNotFound {
+		t.Fatalf("/debug/pprof/nosuchprofile status %d, want 404", code)
+	}
+	// The protobuf profiles are gzipped; the execution trace starts with
+	// its version header.
+	for route, prefix := range map[string]string{
+		"allocs":               "\x1f\x8b",
+		"profile?seconds=0.05": "\x1f\x8b",
+		"trace?seconds=0.05":   "go 1.",
+	} {
+		code, _, body := getBody(t, base+route)
+		if code != http.StatusOK || !strings.HasPrefix(body, prefix) {
+			t.Fatalf("/debug/pprof/%s: status %d, body starts %q, want 200 and %q", route, code, body[:min(len(body), 16)], prefix)
+		}
+	}
+}
+
+// TestPprofNotOnDefaultMux: the profiles are served from the debug
+// listener only. Linking this package must not register them on
+// http.DefaultServeMux, which any nil-handler server in the program uses.
+func TestPprofNotOnDefaultMux(t *testing.T) {
+	req, err := http.NewRequest(http.MethodGet, "http://localhost/debug/pprof/heap", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, pattern := http.DefaultServeMux.Handler(req); pattern != "" {
+		t.Fatalf("http.DefaultServeMux serves /debug/pprof/heap via pattern %q", pattern)
+	}
+}

@@ -25,8 +25,9 @@
 //
 //   - DebugServer is an opt-in net/http listener exposing /metrics,
 //     /metrics.json, /debug/split (the live split table: UG/PSE stats,
-//     current plan, breaker states, last min-cut explanation) and
-//     /debug/trace.
+//     current plan, breaker states, last min-cut explanation),
+//     /debug/trace and the Go runtime profiles under /debug/pprof/ (on
+//     its own mux only: nothing is registered on http.DefaultServeMux).
 //
 // The event-system glue lives in internal/jecho (Publisher and Subscriber
 // implement Collector and provide Status snapshots); this package holds

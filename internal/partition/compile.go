@@ -15,6 +15,7 @@ import (
 	"methodpart/internal/costmodel"
 	"methodpart/internal/mir"
 	"methodpart/internal/mir/interp"
+	"methodpart/internal/wire"
 )
 
 // RawPSEID is the id of the synthetic split point "before the first
@@ -117,7 +118,28 @@ func Compile(prog *mir.Program, classes *mir.ClassTable, oracle analysis.NativeO
 	if err != nil {
 		return nil, fmt.Errorf("partition: compile %s: %w", prog.Name, err)
 	}
+	wire.InternNames(c.wireNames()...)
 	return c, nil
+}
+
+// wireNames lists the names this handler's messages carry — the handler,
+// its classes and their fields, and every PSE's live variables — for the
+// wire decoder to intern.
+func (c *Compiled) wireNames() []string {
+	names := []string{c.Prog.Name}
+	if c.Classes != nil {
+		for _, cn := range c.Classes.Names() {
+			names = append(names, cn)
+			def, _ := c.Classes.Lookup(cn)
+			for _, f := range def.Fields {
+				names = append(names, f.Name)
+			}
+		}
+	}
+	for _, p := range c.PSEs {
+		names = append(names, p.Vars...)
+	}
+	return names
 }
 
 // watchSet collects the edges the runtime hooks must observe: every PSE

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"methodpart/internal/analysis"
@@ -60,26 +61,54 @@ func (d *Demodulator) SetProfilePlan(p *Plan) { d.profilePlan.Store(p) }
 
 // ProfilePlan returns the installed profile plan, or nil before the first
 // SetProfilePlan — for status snapshots; the demodulator itself only reads
-// it inside profileHook.
+// it when a message starts.
 func (d *Demodulator) ProfilePlan() *Plan { return d.profilePlan.Load() }
 
-// profileHook returns an edge hook observing profiled PSE crossings, or nil
-// when no profiling is active. baseWork is the sender-side work already
-// spent on the message (so crossing stats are message-cumulative).
-func (d *Demodulator) profileHook(machine execMachine, baseWork int64) interp.EdgeHook {
+// crossProfiler is the receiver-side profiling hook for one message:
+// PSE crossings whose profiling flag is set are priced from the machine's
+// live registers and reported to CrossProbe. Profilers are pooled together
+// with their bound hook, so profiling a message allocates nothing.
+type crossProfiler struct {
+	d       *Demodulator
+	plan    *Plan
+	machine execMachine
+	// baseWork is the sender-side work already spent on the message, so
+	// crossing stats are message-cumulative.
+	baseWork int64
+	hook     interp.EdgeHook
+}
+
+var profilerPool = sync.Pool{New: func() any {
+	p := &crossProfiler{}
+	p.hook = p.cross
+	return p
+}}
+
+func (p *crossProfiler) cross(e interp.Edge) bool {
+	c := p.d.c
+	if id, ok := c.PSEByEdge(analysis.Edge{From: e.From, To: e.To}); ok && p.plan.Profile(id) {
+		pse, _ := c.PSE(id)
+		p.d.CrossProbe.Cross(id, p.baseWork+p.machine.Work(), liveSize(p.machine, pse.Vars))
+	}
+	return false
+}
+
+func (p *crossProfiler) release() {
+	*p = crossProfiler{hook: p.hook}
+	profilerPool.Put(p)
+}
+
+// profile installs the profiling hook on machine and returns the profiler
+// to release after the run, or nil when no profiling is active.
+func (d *Demodulator) profile(machine execMachine, baseWork int64) *crossProfiler {
 	plan := d.profilePlan.Load()
 	if plan == nil || len(plan.ProfileIDs()) == 0 {
 		return nil
 	}
-	return func(e interp.Edge) bool {
-		ae := analysis.Edge{From: e.From, To: e.To}
-		if id, ok := d.c.PSEByEdge(ae); ok && plan.Profile(id) {
-			pse, _ := d.c.PSE(id)
-			snap := machine.Snapshot(pse.Vars)
-			d.CrossProbe.Cross(id, baseWork+machine.Work(), snapshotSize(pse.Vars, snap))
-		}
-		return false
-	}
+	p := profilerPool.Get().(*crossProfiler)
+	p.d, p.plan, p.machine, p.baseWork = d, plan, machine, baseWork
+	machine.SetHook(p.hook)
+	return p
 }
 
 // Result is the outcome of demodulating one message.
@@ -107,7 +136,9 @@ func (d *Demodulator) ProcessRaw(msg *wire.Raw) (res *Result, err error) {
 	if d.c.Engine == EngineCompiled {
 		d.compiledRuns.Add(1)
 	}
-	machine.SetHook(d.profileHook(machine, 0))
+	if p := d.profile(machine, 0); p != nil {
+		defer p.release()
+	}
 	out, err := machine.Run()
 	if err != nil {
 		return nil, classify(wire.NackRuntime, err)
@@ -139,7 +170,9 @@ func (d *Demodulator) ProcessContinuation(cont *wire.Continuation) (res *Result,
 	if d.c.Engine == EngineCompiled {
 		d.compiledRuns.Add(1)
 	}
-	machine.SetHook(d.profileHook(machine, cont.ModWork))
+	if p := d.profile(machine, cont.ModWork); p != nil {
+		defer p.release()
+	}
 	out, err := machine.Run()
 	if err != nil {
 		return nil, classify(wire.NackRuntime, err)

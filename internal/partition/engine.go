@@ -3,6 +3,7 @@ package partition
 import (
 	"methodpart/internal/mir"
 	"methodpart/internal/mir/interp"
+	"methodpart/internal/wire"
 )
 
 // Engine selects the execution engine a compiled handler's endpoints run
@@ -40,8 +41,20 @@ type execMachine interface {
 	SetHook(interp.EdgeHook)
 	Run() (interp.Outcome, error)
 	Snapshot(names []string) map[string]mir.Value
+	// LiveSize prices the named registers as Snapshot + wire.Sizer
+	// would, without building the snapshot.
+	LiveSize(names []string, s *wire.Sizer) int64
 	Work() int64
 	Release()
+}
+
+// liveSize prices the named live registers of machine with a pooled sizer:
+// the size a continuation split here would carry, without the snapshot.
+func liveSize(machine execMachine, names []string) int64 {
+	s := wire.GetSizer()
+	n := machine.LiveSize(names, s)
+	wire.PutSizer(s)
+	return n
 }
 
 // newMachine prepares a machine for one invocation on the active engine.

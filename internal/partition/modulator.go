@@ -227,15 +227,15 @@ func (m *Modulator) Process(event mir.Value) (out *Output, err error) {
 // serialising it, sharing references across variables exactly as the
 // encoder would.
 func snapshotSize(order []string, snap map[string]mir.Value) int64 {
-	s := wire.NewSizer()
+	s := wire.GetSizer()
 	var total int64
 	for _, n := range order {
 		v, ok := snap[n]
 		if !ok {
 			continue
 		}
-		total += 4 + int64(len(n))
-		total += s.Size(v)
+		total += wire.NameSize(n) + s.Size(v)
 	}
+	wire.PutSizer(s)
 	return total
 }

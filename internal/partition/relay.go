@@ -32,8 +32,7 @@ func runSplit(c *Compiled, machine execMachine, plan *Plan, probe SenderProbe, s
 		if isPSE {
 			pse, _ := c.PSE(id)
 			if sampled && plan.Profile(id) {
-				snap := machine.Snapshot(pse.Vars)
-				probe.Cross(id, baseWork+machine.Work(), snapshotSize(pse.Vars, snap))
+				probe.Cross(id, baseWork+machine.Work(), liveSize(machine, pse.Vars))
 			}
 			if plan.Split(id) {
 				res.splitID = id

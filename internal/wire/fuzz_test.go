@@ -87,6 +87,27 @@ func FuzzUnmarshal(f *testing.F) {
 	// epoch (the receiver-side "no stream adopted" sentinel).
 	f.Add([]byte{byte(MsgStreamStart), 1, 2})
 	f.Add([]byte{byte(MsgStreamStart), 0, 0, 0, 0, 0, 0, 0, 0})
+	// Frames truncated inside each scalar field: every proper prefix of a
+	// compact raw event, continuation and feedback frame, so each u32/u64
+	// length, count and value is cut at every byte.
+	compact := mir.NewObject("ImageData")
+	compact.Fields["buff"] = mir.Bytes{1, 2}
+	compact.Fields["width"] = mir.Int(300)
+	for _, m := range []any{
+		&Raw{Handler: "p", Seq: 1 << 40, Event: compact},
+		&Continuation{Handler: "p", Seq: 3, PSEID: 2, ResumeNode: 4, ModWork: 9,
+			Vars: map[string]mir.Value{"o": compact, "f": mir.Float(0.5), "a": mir.IntArray{-1},
+				"g": mir.FloatArray{2}, "b": mir.Bool(true), "s": mir.Str("x")}},
+		&Feedback{Handler: "p", PlanVersion: 2, Stats: []PSEStat{{ID: 1, Count: 5, Bytes: 10, Failures: 2}}},
+	} {
+		data, err := Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for cut := 1; cut < len(data); cut++ {
+			f.Add(data[:cut])
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)
 		if err == nil && msg == nil {

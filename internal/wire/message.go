@@ -521,12 +521,14 @@ func Unmarshal(data []byte) (any, error) {
 	if MsgType(data[0]) == MsgSeqEvent {
 		return unmarshalSeqEvent(data[1:])
 	}
-	d := NewDecoder(data[1:])
+	// A stack decoder: only the decoded message and its values reach the
+	// heap.
+	d := &Decoder{data: data[1:]}
 	switch MsgType(data[0]) {
 	case MsgRaw:
 		m := &Raw{}
 		var err error
-		if m.Handler, err = d.readString(); err != nil {
+		if m.Handler, err = d.readName(); err != nil {
 			return nil, err
 		}
 		if m.Seq, err = d.readU64(); err != nil {
@@ -539,7 +541,7 @@ func Unmarshal(data []byte) (any, error) {
 	case MsgContinuation:
 		m := &Continuation{}
 		var err error
-		if m.Handler, err = d.readString(); err != nil {
+		if m.Handler, err = d.readName(); err != nil {
 			return nil, err
 		}
 		if m.Seq, err = d.readU64(); err != nil {
@@ -570,7 +572,7 @@ func Unmarshal(data []byte) (any, error) {
 		}
 		m.Vars = make(map[string]mir.Value, n)
 		for i := uint32(0); i < n; i++ {
-			name, err := d.readString()
+			name, err := d.readName()
 			if err != nil {
 				return nil, err
 			}
@@ -584,7 +586,7 @@ func Unmarshal(data []byte) (any, error) {
 	case MsgFeedback:
 		m := &Feedback{}
 		var err error
-		if m.Handler, err = d.readString(); err != nil {
+		if m.Handler, err = d.readName(); err != nil {
 			return nil, err
 		}
 		if m.PlanVersion, err = d.readU64(); err != nil {
@@ -625,7 +627,7 @@ func Unmarshal(data []byte) (any, error) {
 	case MsgPlan:
 		m := &Plan{}
 		var err error
-		if m.Handler, err = d.readString(); err != nil {
+		if m.Handler, err = d.readName(); err != nil {
 			return nil, err
 		}
 		if m.Version, err = d.readU64(); err != nil {
@@ -738,7 +740,7 @@ func Unmarshal(data []byte) (any, error) {
 	case MsgNack:
 		m := &Nack{}
 		var err error
-		if m.Handler, err = d.readString(); err != nil {
+		if m.Handler, err = d.readName(); err != nil {
 			return nil, err
 		}
 		if m.Seq, err = d.readU64(); err != nil {
@@ -767,7 +769,7 @@ func Unmarshal(data []byte) (any, error) {
 		if m.Channel, err = d.readString(); err != nil {
 			return nil, err
 		}
-		if m.Handler, err = d.readString(); err != nil {
+		if m.Handler, err = d.readName(); err != nil {
 			return nil, err
 		}
 		if m.Source, err = d.readString(); err != nil {

@@ -35,6 +35,11 @@ const (
 	tagRef
 )
 
+// maxFieldHint caps the size hint a decoded object's field count gives its
+// field map: the count is peer-supplied, and a map made for at most one
+// group of slots costs no more than an unhinted one until fields arrive.
+const maxFieldHint = 8
+
 // Encoder serialises MIR values with reference deduplication. One Encoder
 // encodes one message; references are shared across all values written
 // through it. Reset makes an Encoder reusable across messages (the pooled
@@ -219,56 +224,125 @@ func (e *Encoder) claimRef(tag byte, ptr uintptr, n int) {
 	e.nextRef++
 }
 
-// Decoder deserialises values produced by an Encoder.
+// Decoder deserialises values produced by an Encoder. It reads the input
+// slice through an offset: integer and length fields are decoded in place,
+// so only the values handed to the caller allocate. Decoded Bytes,
+// IntArray and FloatArray values are copies, never views of the input —
+// handlers may mutate them while the input frame is retained elsewhere
+// (the subscriber's dead-letter quarantine).
 type Decoder struct {
-	r    *bytes.Reader
-	refs []mir.Value
+	data []byte
+	off  int
+	// The decoded objects and arrays, in encoder order, are the
+	// back-reference targets: the first len(refBuf) inline, which covers
+	// the common message (an event object and its payload array) without
+	// an allocation, the rest in moreRefs. An inline array rather than a
+	// slice over it keeps a stack Decoder on the stack.
+	refBuf   [4]mir.Value
+	moreRefs []mir.Value
+	nrefs    int
 }
 
 // NewDecoder creates a decoder over the given bytes.
 func NewDecoder(data []byte) *Decoder {
-	return &Decoder{r: bytes.NewReader(data)}
+	return &Decoder{data: data}
 }
 
 // Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return d.r.Len() }
+func (d *Decoder) Remaining() int { return len(d.data) - d.off }
 
-func (d *Decoder) readByte() (byte, error) { return d.r.ReadByte() }
+// take consumes the next n bytes. Short input fails like io.ReadFull:
+// io.EOF when nothing is left, io.ErrUnexpectedEOF when some is.
+func (d *Decoder) take(n int) ([]byte, error) {
+	rem := len(d.data) - d.off
+	if n > rem {
+		d.off = len(d.data)
+		if rem == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := d.data[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
+}
+
+func (d *Decoder) readByte() (byte, error) {
+	if d.off >= len(d.data) {
+		return 0, io.EOF
+	}
+	b := d.data[d.off]
+	d.off++
+	return b, nil
+}
 
 func (d *Decoder) readU32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	b, err := d.take(4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 func (d *Decoder) readU64() (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	b, err := d.take(8)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (d *Decoder) readString() (string, error) {
+// readStringBytes reads a length-prefixed string as a view of the input.
+func (d *Decoder) readStringBytes() ([]byte, error) {
 	n, err := d.readU32()
+	if err != nil {
+		return nil, err
+	}
+	if int64(n) > int64(d.Remaining()) {
+		return nil, fmt.Errorf("wire: string length %d exceeds remaining %d", n, d.Remaining())
+	}
+	return d.take(int(n))
+}
+
+// readString reads a length-prefixed string into one fresh allocation.
+func (d *Decoder) readString() (string, error) {
+	b, err := d.readStringBytes()
 	if err != nil {
 		return "", err
 	}
-	if int64(n) > int64(d.r.Len()) {
-		return "", fmt.Errorf("wire: string length %d exceeds remaining %d", n, d.r.Len())
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
+	return string(b), nil
+}
+
+// readName reads a handler, class, field or variable name. Names a
+// compiled program registered (see InternNames) come back as the shared
+// interned string without allocating; any other name is copied.
+func (d *Decoder) readName() (string, error) {
+	b, err := d.readStringBytes()
+	if err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	if s, ok := lookupName(b); ok {
+		return s, nil
+	}
+	return string(b), nil
+}
+
+// addRef records a decoded object or array as the next back-reference
+// target and returns it. Callers return the result rather than the typed
+// value, so a slice is boxed into an interface once, not twice.
+func (d *Decoder) addRef(v mir.Value) mir.Value {
+	if d.nrefs < len(d.refBuf) {
+		d.refBuf[d.nrefs] = v
+	} else {
+		d.moreRefs = append(d.moreRefs, v)
+	}
+	d.nrefs++
+	return v
 }
 
 // DecodeValue reads one value.
 func (d *Decoder) DecodeValue() (mir.Value, error) {
-	tag, err := d.r.ReadByte()
+	tag, err := d.readByte()
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +350,7 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 	case tagNull:
 		return mir.Null{}, nil
 	case tagBool:
-		b, err := d.r.ReadByte()
+		b, err := d.readByte()
 		if err != nil {
 			return nil, err
 		}
@@ -304,75 +378,62 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int64(n) > int64(d.r.Len()) {
-			return nil, fmt.Errorf("wire: bytes length %d exceeds remaining %d", n, d.r.Len())
+		if int64(n) > int64(d.Remaining()) {
+			return nil, fmt.Errorf("wire: bytes length %d exceeds remaining %d", n, d.Remaining())
+		}
+		src, err := d.take(int(n))
+		if err != nil {
+			return nil, err
 		}
 		buf := make(mir.Bytes, n)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return nil, err
-		}
-		d.refs = append(d.refs, buf)
-		return buf, nil
+		copy(buf, src)
+		return d.addRef(buf), nil
 	case tagIntArray:
-		n, err := d.readU32()
+		src, err := d.readWords("intarray")
 		if err != nil {
 			return nil, err
 		}
-		// int64 arithmetic so a 2^32-scale prefix cannot overflow the
-		// comparison on 32-bit platforms and slip past the clamp.
-		if int64(n)*8 > int64(d.r.Len()) {
-			return nil, fmt.Errorf("wire: intarray length %d exceeds remaining %d", n, d.r.Len())
-		}
-		arr := make(mir.IntArray, n)
+		arr := make(mir.IntArray, len(src)/8)
 		for i := range arr {
-			u, err := d.readU64()
-			if err != nil {
-				return nil, err
-			}
-			arr[i] = int64(u)
+			arr[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 		}
-		d.refs = append(d.refs, arr)
-		return arr, nil
+		return d.addRef(arr), nil
 	case tagFloatArray:
-		n, err := d.readU32()
+		src, err := d.readWords("floatarray")
 		if err != nil {
 			return nil, err
 		}
-		if int64(n)*8 > int64(d.r.Len()) {
-			return nil, fmt.Errorf("wire: floatarray length %d exceeds remaining %d", n, d.r.Len())
-		}
-		arr := make(mir.FloatArray, n)
+		arr := make(mir.FloatArray, len(src)/8)
 		for i := range arr {
-			u, err := d.readU64()
-			if err != nil {
-				return nil, err
-			}
-			arr[i] = math.Float64frombits(u)
+			arr[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
-		d.refs = append(d.refs, arr)
-		return arr, nil
+		return d.addRef(arr), nil
 	case tagObject:
-		// Reserve the ref slot before decoding fields so nested
-		// back-references resolve in encoder order.
-		obj := mir.NewObject("")
-		d.refs = append(d.refs, obj)
-		class, err := d.readString()
+		class, err := d.readName()
 		if err != nil {
 			return nil, err
 		}
-		obj.Class = class
 		nf, err := d.readU32()
 		if err != nil {
 			return nil, err
 		}
 		// Each field costs at least a 4-byte name length plus a 1-byte
 		// value tag; a count the remaining input cannot possibly satisfy is
-		// corrupt, so fail before growing the field map toward it.
-		if int64(nf) > int64(d.r.Len())/5 {
+		// corrupt, so fail before sizing the field map toward it.
+		if int64(nf) > int64(d.Remaining())/5 {
 			return nil, fmt.Errorf("wire: field count %d exceeds remaining payload", nf)
 		}
+		// The hint is capped: the clamp above holds per nesting level, so
+		// an uncapped hint lets nested objects each claim most of the
+		// frame and commit memory quadratic in its length before the
+		// decode fails. Larger maps grow as real fields arrive.
+		//
+		// Take the ref slot before decoding fields so nested
+		// back-references resolve in encoder order.
+		obj := &mir.Object{Class: class, Fields: make(map[string]mir.Value, min(nf, maxFieldHint))}
+		d.addRef(obj)
 		for i := uint32(0); i < nf; i++ {
-			name, err := d.readString()
+			name, err := d.readName()
 			if err != nil {
 				return nil, err
 			}
@@ -388,11 +449,29 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int(ref) >= len(d.refs) {
-			return nil, fmt.Errorf("wire: dangling reference %d (have %d)", ref, len(d.refs))
+		if int64(ref) >= int64(d.nrefs) {
+			return nil, fmt.Errorf("wire: dangling reference %d (have %d)", ref, d.nrefs)
 		}
-		return d.refs[ref], nil
+		if int(ref) < len(d.refBuf) {
+			return d.refBuf[ref], nil
+		}
+		return d.moreRefs[int(ref)-len(d.refBuf)], nil
 	default:
 		return nil, fmt.Errorf("wire: unknown value tag %d", tag)
 	}
+}
+
+// readWords reads the length-prefixed body of an 8-byte-element array as
+// a view of the input.
+func (d *Decoder) readWords(what string) ([]byte, error) {
+	n, err := d.readU32()
+	if err != nil {
+		return nil, err
+	}
+	// int64 arithmetic so a 2^32-scale prefix cannot overflow the
+	// comparison on 32-bit platforms and slip past the clamp.
+	if int64(n)*8 > int64(d.Remaining()) {
+		return nil, fmt.Errorf("wire: %s length %d exceeds remaining %d", what, n, d.Remaining())
+	}
+	return d.take(int(n) * 8)
 }

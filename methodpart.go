@@ -193,7 +193,7 @@ type (
 	// DebugConfig configures the opt-in debug HTTP listener.
 	DebugConfig = obsv.DebugConfig
 	// DebugServer is the running debug HTTP listener (/metrics,
-	// /metrics.json, /debug/split, /debug/trace).
+	// /metrics.json, /debug/split, /debug/trace, /debug/pprof/).
 	DebugServer = obsv.DebugServer
 	// EndpointStatus is one endpoint's live introspection snapshot, as
 	// served by /debug/split.
