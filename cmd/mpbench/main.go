@@ -6,8 +6,7 @@
 //	mpbench -experiment figure7 -seeds 5
 //
 // Experiments: table1, table2, table3, table4, figure7, figure8, ablation,
-// models, richimage, channel, fanout, faults, poison, loss, engine, pareto,
-// drift, claims.
+// models, richimage, channel, fanout, pareto, drift, claims.
 package main
 
 import (
@@ -48,7 +47,7 @@ func newBenchFlags() *benchFlags {
 	fs := flag.NewFlagSet("mpbench", flag.ContinueOnError)
 	return &benchFlags{
 		fs:         fs,
-		experiment: fs.String("experiment", "all", "which experiment to run (table1|table2|table3|table4|figure7|figure8|ablation|models|richimage|channel|fanout|faults|poison|loss|engine|pareto|drift|claims|all)"),
+		experiment: fs.String("experiment", "all", "which experiment to run (table1|table2|table3|table4|figure7|figure8|ablation|models|richimage|channel|fanout|pareto|drift|claims|all)"),
 		frames:     fs.Int("frames", 0, "override frames per run (0 = experiment default)"),
 		seeds:      fs.Int("seeds", 0, "override number of perturbation seeds (0 = default 5)"),
 		asCSV:      fs.Bool("csv", false, "emit tables as CSV instead of aligned text"),
@@ -214,56 +213,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		bench.WriteFanout(w, rows)
-	}
-	if all || wanted["faults"] {
-		ran = true
-		faCfg := bench.DefaultFaultsConfig()
-		if *frames > 0 {
-			faCfg.Frames = *frames
-		}
-		if *seeds > 0 {
-			faCfg.Rounds = *seeds
-		}
-		rows, err := bench.FaultsExperiment(faCfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteFaults(w, rows)
-	}
-	if all || wanted["poison"] {
-		ran = true
-		poCfg := bench.DefaultPoisonConfig()
-		if *frames > 0 {
-			poCfg.Frames = *frames
-		}
-		row, err := bench.PoisonExperiment(poCfg)
-		if err != nil {
-			return err
-		}
-		bench.WritePoison(w, row)
-	}
-	if all || wanted["loss"] {
-		ran = true
-		loCfg := bench.DefaultLossConfig()
-		if *frames > 0 {
-			loCfg.Frames = *frames
-		}
-		if *seeds > 0 {
-			loCfg.Rounds = *seeds
-		}
-		rows, err := bench.LossExperiment(loCfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteLoss(w, rows)
-	}
-	if all || wanted["engine"] {
-		ran = true
-		rows, err := bench.EngineExperiment()
-		if err != nil {
-			return err
-		}
-		bench.WriteEngine(w, rows)
 	}
 	if all || wanted["pareto"] {
 		ran = true

@@ -56,11 +56,11 @@ type BatchRow struct {
 	WireKB float64
 }
 
-// BatchExperiment publishes the same burst unbatched and batched and
-// reports throughput, allocation rate and wire volume for each. The
-// consumer is a raw protocol-v4 peer that counts events without
-// demodulating, so the table isolates the channel wire layer — the cost
-// batching actually changes — from interpreter work.
+// BatchExperiment publishes the same burst unbatched and batched and reports
+// throughput, allocation rate and wire volume for each. The consumer is a
+// raw peer that counts events without demodulating, so the table isolates
+// the channel wire layer — the cost batching actually changes — from
+// interpreter work.
 func BatchExperiment(cfg BatchConfig) ([]BatchRow, error) {
 	if cfg.Frames <= 0 {
 		cfg.Frames = DefaultBatchConfig().Frames
@@ -102,8 +102,8 @@ func runBatchOnce(cfg BatchConfig, batchBytes int) (BatchRow, error) {
 	}
 	defer pub.Close()
 
-	// The consumer: a protocol-v4 peer that unpacks frames and counts
-	// events without running a demodulator.
+	// The consumer: a raw peer that unpacks frames and counts events
+	// without running a demodulator.
 	conn, err := mem.Dial(pub.Addr())
 	if err != nil {
 		return BatchRow{}, err
@@ -222,7 +222,7 @@ func WriteBatch(w io.Writer, rows []BatchRow) {
 			fmt.Sprintf("%.1f", r.WireKB),
 		})
 	}
-	writeTable(w, "Wire-level batching: small-payload burst, raw v4 consumer (mem transport)",
+	writeTable(w, "Wire-level batching: small-payload burst, raw consumer (mem transport)",
 		[]string{"mode", "frames", "events/sec", "allocs/event", "batches", "meanBatch", "wireKB"},
 		out)
 }

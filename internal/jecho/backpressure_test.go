@@ -287,7 +287,9 @@ func TestOverflowBlock(t *testing.T) {
 }
 
 // TestFeedbackCoalescing: profiling feedback to a slow peer collapses to
-// the latest snapshot instead of queueing stale reports.
+// the latest snapshot instead of queueing stale reports. Every staged frame
+// is accounted for: sent, coalesced, in a write the stalled peer blocks, or
+// pending in the slot, which holds at most one.
 func TestFeedbackCoalescing(t *testing.T) {
 	pub, mem := newMemPublisher(t, jecho.PublisherConfig{
 		QueueDepth:     4,
@@ -303,13 +305,21 @@ func TestFeedbackCoalescing(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
-	m := findSub(t, pub, "stalled").Metrics
+	info := findSub(t, pub, "stalled")
+	m := info.Metrics
 	if m.FeedbackCoalesced == 0 {
 		t.Fatalf("no feedback coalescing after %d per-message reports to a stalled peer: %+v", frames, m)
 	}
-	if m.FeedbackSent+m.FeedbackCoalesced < frames-1 {
-		t.Errorf("feedback accounting: sent %d + coalesced %d < %d staged",
-			m.FeedbackSent, m.FeedbackCoalesced, frames-1)
+	inFlight, pending := uint64(info.FeedbackInFlight), uint64(info.FeedbackPending)
+	t.Logf("staged %d: sent %d, coalesced %d, in flight %d, pending %d",
+		m.FeedbackStaged, m.FeedbackSent, m.FeedbackCoalesced, inFlight, pending)
+	if got := m.FeedbackSent + m.FeedbackCoalesced + inFlight + pending; got != m.FeedbackStaged {
+		t.Errorf("feedback accounting: sent %d + coalesced %d + in flight %d + pending %d = %d, staged %d",
+			m.FeedbackSent, m.FeedbackCoalesced, inFlight, pending, got, m.FeedbackStaged)
+	}
+	if m.FeedbackSent+m.FeedbackCoalesced+inFlight < frames-1 {
+		t.Errorf("feedback accounting: sent %d + coalesced %d + in flight %d < %d staged",
+			m.FeedbackSent, m.FeedbackCoalesced, inFlight, frames-1)
 	}
 }
 

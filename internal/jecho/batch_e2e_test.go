@@ -28,8 +28,7 @@ func awaitEventsSent(t *testing.T, pub *jecho.Publisher, name string, n uint64) 
 	}
 }
 
-// TestBatchedDeliveryEndToEnd: with batching enabled and a v4 subscriber, a
-// publish burst arrives complete, some of it coalesced into batch frames,
+// TestBatchedDeliveryEndToEnd: with batching enabled, a publish burst arrives complete, some of it coalesced into batch frames,
 // and the send accounting balances once the channel quiesces.
 func TestBatchedDeliveryEndToEnd(t *testing.T) {
 	pub, mem := newMemPublisher(t, jecho.PublisherConfig{
@@ -66,72 +65,6 @@ func TestBatchedDeliveryEndToEnd(t *testing.T) {
 	}
 	if sm.Published != events {
 		t.Errorf("subscriber demodulated %d, want %d", sm.Published, events)
-	}
-}
-
-// TestV3SubscriberGetsUnbatchedFrames: a publisher with batching enabled
-// must downgrade for a subscriber that announced protocol v3 — every event
-// arrives in its own frame and no batch frame ever reaches the peer.
-func TestV3SubscriberGetsUnbatchedFrames(t *testing.T) {
-	pub, mem := newMemPublisher(t, jecho.PublisherConfig{
-		QueueDepth: 64,
-		BatchBytes: 64 << 10,
-		BatchDelay: 5 * time.Millisecond,
-	})
-	conn, err := mem.Dial(pub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	data, err := wire.Marshal(&wire.Subscribe{
-		Protocol:   wire.MinProtocolVersion, // v3: predates batch frames
-		Subscriber: "legacy",
-		Handler:    imaging.HandlerName,
-		Source:     imaging.HandlerSource(64),
-		CostModel:  costmodel.DataSizeName,
-		Natives:    []string{"displayImage"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.WriteFrame(data); err != nil {
-		t.Fatal(err)
-	}
-	waitSubscribers(t, pub, 1)
-
-	const events = 30
-	for i := 0; i < events; i++ {
-		if _, err := pub.Publish(imaging.NewFrame(16, 16, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for got < events {
-		_ = conn.SetReadDeadline(deadline)
-		frame, err := conn.ReadFrame()
-		if err != nil {
-			t.Fatalf("after %d of %d events: %v", got, events, err)
-		}
-		msg, err := wire.Unmarshal(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch msg.(type) {
-		case *wire.Batch:
-			t.Fatal("publisher sent a batch frame to a v3 subscriber")
-		case *wire.Raw, *wire.Continuation:
-			got++
-		default:
-			// Heartbeats and feedback are fine; skip them.
-		}
-	}
-	m := awaitEventsSent(t, pub, "legacy", events)
-	if m.BatchesSent != 0 {
-		t.Errorf("BatchesSent = %d for a v3 peer, want 0", m.BatchesSent)
-	}
-	if m.EventsSent != events {
-		t.Errorf("EventsSent = %d, want %d", m.EventsSent, events)
 	}
 }
 

@@ -65,7 +65,8 @@ func theSession(pub *jecho.Publisher) (jecho.SubscriptionInfo, bool) {
 // supervision layer: converge a channel on its optimal split, cut the link
 // mid-stream, and require that the subscriber redials, resubscribes, and
 // seeds the fresh session from its merged profiling snapshot — the split
-// returns to the pre-failure optimum without either process restarting.
+// returns to the pre-failure optimum without either process restarting,
+// cut after cut.
 func TestChaosSeverResubscribeResyncs(t *testing.T) {
 	flaky := transport.NewFlaky(transport.NewMem(), transport.FaultPlan{Seed: 1})
 	pub := chaosPublisher(t, flaky, jecho.PublisherConfig{
@@ -95,46 +96,50 @@ func TestChaosSeverResubscribeResyncs(t *testing.T) {
 	}
 	publish(120)
 
-	before, ok := theSession(pub)
-	if !ok {
-		t.Fatal("no session after convergence")
-	}
-	processedBefore := sub.Processed()
-
-	if n := flaky.SeverAll(); n == 0 {
-		t.Fatal("SeverAll cut nothing")
-	}
-
-	// Recovery: a fresh session (new id) registered with a strictly newer
-	// plan — pushed by resync, before any post-cut publish.
-	deadline := time.Now().Add(10 * time.Second)
-	var after jecho.SubscriptionInfo
-	for {
-		if info, ok := theSession(pub); ok && info.ID != before.ID && info.PlanVersion > before.PlanVersion {
-			after = info
-			break
+	// Two cuts: recovery must repeat, and the plan version keep rising
+	// across cuts (a reconnect never rolls the plan back).
+	for round := 1; round <= 2; round++ {
+		before, ok := theSession(pub)
+		if !ok {
+			t.Fatalf("round %d: no session before the cut", round)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no fresh session after the cut (before=%+v, now=%+v)", before, pub.Subscriptions())
+		processedBefore := sub.Processed()
+
+		if n := flaky.SeverAll(); n == 0 {
+			t.Fatalf("round %d: SeverAll cut nothing", round)
 		}
-		time.Sleep(time.Millisecond)
-	}
 
-	if got, want := after.SplitIDs, before.SplitIDs; len(got) != len(want) || !equalSplitIDs(got, want) {
-		t.Errorf("split after recovery = %v, want pre-failure optimum %v", got, want)
-	}
-	if m := sub.Metrics(); m.Reconnects == 0 {
-		t.Error("subscriber recorded no reconnects")
-	}
-	if err := sub.Err(); err != nil {
-		t.Errorf("Err mid-life after successful resubscribe = %v, want nil", err)
-	}
+		// Recovery: a fresh session (new id) registered with a strictly
+		// newer plan — pushed by resync, before any post-cut publish.
+		deadline := time.Now().Add(10 * time.Second)
+		var after jecho.SubscriptionInfo
+		for {
+			if info, ok := theSession(pub); ok && info.ID != before.ID && info.PlanVersion > before.PlanVersion {
+				after = info
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no fresh session after the cut (before=%+v, now=%+v)", round, before, pub.Subscriptions())
+			}
+			time.Sleep(time.Millisecond)
+		}
 
-	// The recovered channel still moves data and holds the optimum.
-	publish(40)
-	waitProcessedAbove(t, sub, processedBefore)
-	if info, ok := theSession(pub); ok && !equalSplitIDs(info.SplitIDs, before.SplitIDs) {
-		t.Errorf("split drifted after recovery: %v vs %v", info.SplitIDs, before.SplitIDs)
+		if got, want := after.SplitIDs, before.SplitIDs; !equalSplitIDs(got, want) {
+			t.Errorf("round %d: split after recovery = %v, want pre-failure optimum %v", round, got, want)
+		}
+		if m := sub.Metrics(); m.Reconnects < uint64(round) {
+			t.Errorf("round %d: subscriber recorded %d reconnects", round, m.Reconnects)
+		}
+		if err := sub.Err(); err != nil {
+			t.Errorf("round %d: Err mid-life after successful resubscribe = %v, want nil", round, err)
+		}
+
+		// The recovered channel still moves data and holds the optimum.
+		publish(40)
+		waitProcessedAbove(t, sub, processedBefore)
+		if info, ok := theSession(pub); ok && !equalSplitIDs(info.SplitIDs, before.SplitIDs) {
+			t.Errorf("round %d: split drifted after recovery: %v vs %v", round, info.SplitIDs, before.SplitIDs)
+		}
 	}
 }
 

@@ -51,6 +51,10 @@ type ChannelMetrics struct {
 	// suppressed event the whole raw payload, for a continuation the
 	// difference between the raw event encoding and the continuation.
 	BytesSaved uint64
+	// FeedbackStaged counts profiling feedback frames handed to the send
+	// pipeline; each ends sent, coalesced, in flight or pending
+	// (SubscriptionInfo.FeedbackInFlight and FeedbackPending).
+	FeedbackStaged uint64
 	// FeedbackSent counts profiling feedback frames that reached the wire.
 	FeedbackSent uint64
 	// FeedbackCoalesced counts feedback frames superseded by a newer
@@ -153,6 +157,7 @@ type channelMetrics struct {
 	batchedEvents     atomic.Uint64
 	batchesRecv       atomic.Uint64
 	bytesSaved        atomic.Uint64
+	feedbackStaged    atomic.Uint64
 	feedbackSent      atomic.Uint64
 	feedbackCoalesced atomic.Uint64
 	planFlips         atomic.Uint64
@@ -229,6 +234,7 @@ func (m *channelMetrics) load() ChannelMetrics {
 		BatchedEvents:      m.batchedEvents.Load(),
 		BatchesReceived:    m.batchesRecv.Load(),
 		BytesSaved:         m.bytesSaved.Load(),
+		FeedbackStaged:     m.feedbackStaged.Load(),
 		FeedbackSent:       m.feedbackSent.Load(),
 		FeedbackCoalesced:  m.feedbackCoalesced.Load(),
 		PlanFlips:          m.planFlips.Load(),

@@ -47,8 +47,7 @@ func newPSEHistograms(n int) *pseHistograms {
 
 // batchHistograms measures the shape of the batching path on one
 // subscription: how many events each wire frame carried and how full the
-// BatchBytes budget was when it left. Nil (batching off, or a v3 peer)
-// costs nothing — observe is a no-op.
+// BatchBytes budget was when it left. Nil (batching off) costs nothing — observe is a no-op.
 type batchHistograms struct {
 	entries *obsv.Histogram
 	fill    *obsv.Histogram
@@ -594,16 +593,6 @@ func (p *Publisher) Collect(emit func(obsv.Sample)) {
 		Help:  "Per-subscriber modulator runs avoided by plan-equivalence class sharing.",
 		Value: float64(p.modulationsSaved.Load()),
 	})
-	var compiledRuns int64
-	for _, c := range classes {
-		compiledRuns += c.class.mod.CompiledRuns()
-	}
-	emit(obsv.Sample{
-		Name: "methodpart_compiled_runs_total", Type: obsv.CounterType,
-		Help:   compiledRunsHelp,
-		Labels: []obsv.Label{{Name: "role", Value: "publisher"}},
-		Value:  float64(compiledRuns),
-	})
 	for i := range p.reg.shards {
 		sh := &p.reg.shards[i]
 		labels := []obsv.Label{{Name: "shard", Value: strconv.Itoa(i)}}
@@ -680,25 +669,12 @@ func (p *Publisher) Status() obsv.EndpointStatus {
 	return ep
 }
 
-// compiledRunsHelp documents the engine counter emitted by both roles.
-const compiledRunsHelp = "Messages executed on the closure-compiled engine (the difference from total runs executed on the stepping engine)."
-
 // Collect implements obsv.Collector over the subscriber's half of the
 // loop, labelled {role="subscriber", channel, sub}.
 func (s *Subscriber) Collect(emit func(obsv.Sample)) {
 	emitChannelSamples(emit, "subscriber", s.cfg.Channel, s.cfg.Name, s.metrics.snapshot(), s.hists, nil)
 	emitParetoSamples(emit, "subscriber", s.cfg.Channel, s.cfg.Name, s.runit)
 	emitLinkSamples(emit, "subscriber", s.cfg.Channel, s.cfg.Name, s.link)
-	emit(obsv.Sample{
-		Name: "methodpart_compiled_runs_total", Type: obsv.CounterType,
-		Help: compiledRunsHelp,
-		Labels: []obsv.Label{
-			{Name: "role", Value: "subscriber"},
-			{Name: "channel", Value: s.cfg.Channel},
-			{Name: "sub", Value: s.cfg.Name},
-		},
-		Value: float64(s.demod.CompiledRuns()),
-	})
 }
 
 // Status snapshots the subscriber for /debug/split: its profile plan,

@@ -52,8 +52,8 @@ const DefaultQueueDepth = 64
 var errRetired = errors.New("jecho: subscription retired")
 
 // batchConfig is the per-subscription batching policy resolved at
-// handshake time: zero Bytes disables batching (the peer speaks protocol
-// v3, or the publisher left BatchBytes unset).
+// handshake time: zero Bytes (the publisher left BatchBytes unset) disables
+// batching.
 type batchConfig struct {
 	// Bytes caps the coalesced payload of one batch frame. The first
 	// frame always fits regardless of size.
@@ -92,9 +92,8 @@ type sendPipeline struct {
 	sup     supervision
 	batch   batchConfig
 	// reliable wraps every outgoing event frame in a SeqEvent envelope
-	// carrying the queued delivery sequence (protocol v5, AtLeastOnce
-	// subscriptions only). Best-effort pipelines never touch the envelope
-	// path.
+	// carrying the queued delivery sequence (AtLeastOnce subscriptions
+	// only). Best-effort pipelines never touch the envelope path.
 	reliable bool
 
 	// Sender-goroutine only: heartbeat sequence plus the reusable buffers
@@ -117,9 +116,15 @@ type sendPipeline struct {
 	done     chan struct{} // closed when the sender goroutine exits
 	stopOnce sync.Once
 
-	fbMu    sync.Mutex
-	fb      []byte
-	fbReady chan struct{} // cap 1: "a feedback frame is pending"
+	// fb is the pending feedback frame and fbInFlight marks one the sender
+	// took whose write has not returned (for good, if the write failed).
+	// They change under fbMu together with the staged, sent and coalesced
+	// counters, so every staged frame is accounted for as sent, coalesced,
+	// in flight or pending (feedbackCut).
+	fbMu       sync.Mutex
+	fb         []byte
+	fbInFlight bool
+	fbReady    chan struct{} // cap 1: "a feedback frame is pending"
 
 	// failed is invoked (once, from the sender goroutine) on a transport
 	// write error, before the sender exits; the publisher retires the
@@ -249,6 +254,7 @@ func (p *sendPipeline) enqueueControl(data []byte) error {
 // one (coalesce-to-latest).
 func (p *sendPipeline) enqueueFeedback(data []byte) {
 	p.fbMu.Lock()
+	p.metrics.feedbackStaged.Add(1)
 	if p.fb != nil {
 		p.metrics.feedbackCoalesced.Add(1)
 	}
@@ -265,7 +271,35 @@ func (p *sendPipeline) takeFeedback() []byte {
 	defer p.fbMu.Unlock()
 	fb := p.fb
 	p.fb = nil
+	p.fbInFlight = fb != nil
 	return fb
+}
+
+// feedbackWritten retires the in-flight feedback frame as sent.
+func (p *sendPipeline) feedbackWritten() {
+	p.fbMu.Lock()
+	p.fbInFlight = false
+	p.metrics.feedbackSent.Add(1)
+	p.fbMu.Unlock()
+}
+
+// feedbackCut loads the feedback counters into m in one cut under fbMu and
+// reports the frames in flight and pending (0 or 1 each), so that
+// FeedbackStaged == FeedbackSent + FeedbackCoalesced + inFlight + pending
+// holds exactly.
+func (p *sendPipeline) feedbackCut(m *ChannelMetrics) (inFlight, pending int) {
+	p.fbMu.Lock()
+	defer p.fbMu.Unlock()
+	m.FeedbackStaged = p.metrics.feedbackStaged.Load()
+	m.FeedbackSent = p.metrics.feedbackSent.Load()
+	m.FeedbackCoalesced = p.metrics.feedbackCoalesced.Load()
+	if p.fbInFlight {
+		inFlight = 1
+	}
+	if p.fb != nil {
+		pending = 1
+	}
+	return inFlight, pending
 }
 
 // run is the sender goroutine: it drains the queue and the feedback slot
@@ -306,7 +340,7 @@ func (p *sendPipeline) run() {
 				if !p.write(fb, true) {
 					return
 				}
-				p.metrics.feedbackSent.Add(1)
+				p.feedbackWritten()
 			}
 		case <-heartbeat:
 			if !p.writeHeartbeat() {
@@ -349,7 +383,7 @@ func (p *sendPipeline) eventBytes(q queuedFrame) []byte {
 // sendEvents ships the first queued frame and, when batching is on,
 // whatever else the queue holds (plus a BatchDelay linger) up to
 // BatchBytes, as one batch wire frame. A single frame goes out unwrapped,
-// so a v4 peer on a quiet channel never pays the batch header.
+// so a peer on a quiet channel never pays the batch header.
 func (p *sendPipeline) sendEvents(first queuedFrame) bool {
 	if p.batch.Bytes <= 0 {
 		ok := p.write(p.eventBytes(first), false)

@@ -48,8 +48,7 @@ type PublisherConfig struct {
 	// BatchBytes enables wire-level event batching: when the outbound
 	// queue holds more than one event frame, the sender coalesces up to
 	// BatchBytes of payload into a single batch wire frame (0 disables
-	// batching). Batching only engages for subscribers speaking protocol
-	// v4 or newer; a v3 peer transparently receives unbatched frames.
+	// batching).
 	BatchBytes int
 	// BatchDelay is how long the sender lingers after the first frame of
 	// a batch for more to arrive, when the queue alone did not reach
@@ -57,7 +56,7 @@ type PublisherConfig struct {
 	// Only meaningful with BatchBytes > 0.
 	BatchDelay time.Duration
 	// ReplayRingBytes bounds the per-subscription replay ring backing
-	// at-least-once delivery (protocol v5): sent frames stay retained
+	// at-least-once delivery: sent frames stay retained
 	// until the subscriber's cumulative ack, up to this many payload
 	// bytes; beyond it the oldest unacked frames are evicted (counted as
 	// RingEvictions, surfacing later as DataLoss if the subscriber needed
@@ -99,7 +98,7 @@ type PublisherConfig struct {
 	SplitPolicy reconfig.SLOPolicy
 	// LinkEstimateInterval enables per-subscription link estimation when
 	// > 0: the publisher measures RTT from heartbeat echoes (its idle
-	// heartbeats and echo replies double as probes; v6 subscribers reflect
+	// heartbeats and echo replies double as probes; subscribers reflect
 	// them) and effective bandwidth from the send path's bytes-on-wire
 	// over wall time, and refreshes the degrade unit's environment at this
 	// period so breaker-forced plan re-selections price against the
@@ -129,12 +128,12 @@ type PublisherConfig struct {
 
 // Publisher hosts an event channel: it accepts subscriptions and fans
 // published events out through them. Subscriptions are pooled into
-// plan-equivalence classes (see registry.go): everyone on the same
-// (channel, handler, cut, protocol, batching) key shares one modulator
-// and one marshalled frame per event, so an event costs one modulation and
-// one marshal per *class* and the per-subscriber work is a refcounted
-// queue handoff. Each subscription still owns an asynchronous send
-// pipeline, so Publish never blocks on a peer's socket.
+// plan-equivalence classes (see registry.go): everyone on the same (channel,
+// handler, cut) key shares one modulator and one marshalled frame per event,
+// so an event costs one modulation and one marshal per *class* and the
+// per-subscriber work is a refcounted queue handoff. Each subscription still
+// owns an asynchronous send pipeline, so Publish never blocks on a peer's
+// socket.
 type Publisher struct {
 	cfg      PublisherConfig
 	sup      supervision
@@ -193,8 +192,6 @@ type compiledEntry struct {
 type subscription struct {
 	id       string
 	channel  string
-	proto    uint32
-	batched  bool
 	conn     transport.Conn
 	compiled *partition.Compiled
 	env      *interp.Env
@@ -344,6 +341,13 @@ type SubscriptionInfo struct {
 	// RingFrames/RingBytes are the replay ring's instantaneous occupancy.
 	RingFrames int
 	RingBytes  int
+	// FeedbackInFlight and FeedbackPending (0 or 1 each) are the feedback
+	// frames in a send that has not returned and waiting to be sent. The
+	// feedback counters in Metrics are read in the same cut, so
+	// FeedbackStaged = FeedbackSent + FeedbackCoalesced + FeedbackInFlight +
+	// FeedbackPending.
+	FeedbackInFlight int
+	FeedbackPending  int
 	// Metrics snapshots the subscription's channel counters.
 	Metrics ChannelMetrics
 }
@@ -369,6 +373,7 @@ func (p *Publisher) Subscriptions() []SubscriptionInfo {
 			QueueLen:    len(s.pipe.queue),
 			Metrics:     s.metrics.snapshot(),
 		}
+		info.FeedbackInFlight, info.FeedbackPending = s.pipe.feedbackCut(&info.Metrics)
 		if s.rel != nil {
 			info.Reliable = true
 			info.StagedSeq, info.RingFrames, info.RingBytes, _ = s.rel.stats()
@@ -454,8 +459,6 @@ func classKeyFor(s *subscription, plan *partition.Plan) classKey {
 		channel: s.channel,
 		prog:    s.progKey,
 		plan:    plan.Fingerprint(),
-		proto:   s.proto,
-		batched: s.batched,
 	}
 }
 
@@ -599,13 +602,11 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// Protocol negotiation: accept any version in [Min, Current]. The
-	// subscriber's version caps what the publisher sends it — batch
-	// frames only go to peers that can unpack them (v4+); everything
-	// else in the current protocol is understood by v3.
-	if subMsg.Protocol < wire.MinProtocolVersion || subMsg.Protocol > wire.ProtocolVersion {
-		p.cfg.Logf("jecho publisher: protocol %d from %s, want %d..%d",
-			subMsg.Protocol, subMsg.Subscriber, wire.MinProtocolVersion, wire.ProtocolVersion)
+	// Both ends speak exactly one protocol revision; any other is refused
+	// before anything is compiled or sent.
+	if subMsg.Protocol != wire.ProtocolVersion {
+		p.cfg.Logf("jecho publisher: protocol %d from %s, want %d",
+			subMsg.Protocol, subMsg.Subscriber, wire.ProtocolVersion)
 		_ = conn.Close()
 		return
 	}
@@ -627,7 +628,6 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	metrics := &channelMetrics{}
 	sub := &subscription{
 		channel:  subMsg.Channel,
-		proto:    subMsg.Protocol,
 		conn:     conn,
 		compiled: compiled,
 		env:      entry.env,
@@ -647,20 +647,16 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		})
 	}
 	var batch batchConfig
-	if p.cfg.BatchBytes > 0 && subMsg.Protocol >= wire.BatchProtocolVersion {
+	if p.cfg.BatchBytes > 0 {
 		batch = batchConfig{
 			Bytes: p.cfg.BatchBytes,
 			Delay: p.cfg.BatchDelay,
 			hists: newBatchHistograms(),
 		}
-		sub.batched = true
 	}
-	// Reliability negotiation: at-least-once engages only when the peer
-	// both speaks v5 and asked for it. A v4-or-older peer decodes to
-	// Reliability zero, so the downgrade to the classic best-effort path
-	// is transparent — no envelopes, no ring, no acks.
-	reliable := subMsg.Protocol >= wire.ReliableProtocolVersion &&
-		subMsg.Reliability == wire.ReliabilityAtLeastOnce
+	// At-least-once engages only when the subscriber asked for it; a
+	// best-effort subscription gets no envelopes, no ring and no acks.
+	reliable := subMsg.Reliability == wire.ReliabilityAtLeastOnce
 	if reliable {
 		key := relKey{
 			subscriber: subMsg.Subscriber,
@@ -695,8 +691,8 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			p.retire(sub)
 		})
 	sub.pipe.reliable = reliable
-	if sub.link != nil && subMsg.Protocol >= wire.EchoProtocolVersion {
-		// Idle heartbeats double as RTT probes: a v6 subscriber echoes
+	if sub.link != nil {
+		// Idle heartbeats double as RTT probes: the subscriber echoes
 		// their Seq back through the control loop.
 		sub.pipe.probe = sub.nextProbe
 	}
@@ -770,10 +766,9 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			if m.HasEcho && sub.link != nil {
 				sub.link.Echo(m.EchoSeq)
 			}
-			if m.Seq > 0 && sub.proto >= wire.EchoProtocolVersion {
-				// Reflect the subscriber's probe (pre-v6 peers would not
-				// understand the echo flag); when estimating, ride our own
-				// probe on the reply so this side samples RTT too.
+			if m.Seq > 0 {
+				// Reflect the subscriber's probe; when estimating, ride our
+				// own probe on the reply so this side samples RTT too.
 				p.echoHeartbeat(sub, m.Seq)
 			}
 			if sub.link != nil {

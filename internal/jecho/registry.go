@@ -14,10 +14,9 @@ import (
 //     one shard never serializes against the others (the seed's single
 //     map+mutex was the registry-side scaling wall of ROADMAP item 1);
 //   - classIndex: plan-equivalence classes. Subscribers whose class key
-//     (channel, compiled program, plan fingerprint, protocol version,
-//     batching) is identical share one modulator, one profiling collector
-//     and one marshalled frame per event, so publish work is O(classes)
-//     instead of O(subscribers).
+//     (channel, compiled program, plan fingerprint) is identical share one
+//     modulator, one profiling collector and one marshalled frame per
+//     event, so publish work is O(classes) instead of O(subscribers).
 //
 // Membership mutations (join/leave/migrate) all run under classIndex.mu and
 // publish reads copy-on-write snapshots, so a plan flip — including a
@@ -122,16 +121,12 @@ func (r *subRegistry) snapshot() []*subscription {
 // what bytes a subscription receives for a given event. prog is the dense
 // id the publisher's compile cache assigns each distinct compiled handler
 // (source + cost model + native set), plan is the plan fingerprint (split
-// and profile sets; versions are per subscription, not behaviour), proto
-// the negotiated protocol version, batched whether wire-level batching was
-// negotiated (batching changes pipeline framing, not the event frame, but
-// keeping it in the key keeps every class homogeneous end to end).
+// and profile sets; versions are per subscription, not behaviour).
+// Batching is publisher-wide, so every class of one publisher shares it.
 type classKey struct {
 	channel string
 	prog    uint64
 	plan    uint64
-	proto   uint32
-	batched bool
 }
 
 // planClass is one equivalence class: the shared modulation state plus a

@@ -9,13 +9,13 @@ import (
 	"methodpart/internal/wire"
 )
 
-// Reliability selects a subscription's delivery contract (protocol v5).
+// Reliability selects a subscription's delivery contract.
 type Reliability int
 
 const (
 	// BestEffort is the classic fire-and-forget channel: no sequence
-	// envelopes, no replay ring, no acks. The publish path is byte-for-byte
-	// the pre-v5 one and keeps its zero-allocation guarantee.
+	// envelopes, no replay ring, no acks. The publish path keeps its
+	// zero-allocation guarantee.
 	BestEffort Reliability = iota
 	// AtLeastOnce sequences every event per subscription, retains sent
 	// frames in a byte-budgeted publisher-side replay ring until the

@@ -1,6 +1,7 @@
 package jecho_test
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -92,30 +93,38 @@ func TestBadHandlerSourceRejected(t *testing.T) {
 	}
 }
 
+// TestProtocolMismatchRejected: a handshake at any revision other than
+// wire.ProtocolVersion is refused before anything registers. Revisions 3
+// to 5 are the retired ones an old peer could still announce; 99 stands for
+// a future one.
 func TestProtocolMismatchRejected(t *testing.T) {
-	pub := newTestPublisher(t)
-	conn, err := net.Dial("tcp", pub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	data, err := wire.Marshal(&wire.Subscribe{
-		Protocol: 99, Subscriber: "future", Handler: "f",
-		Source: "func f(x) {\n return\n}", CostModel: "datasize",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.WriteFrame(conn, data); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(buf); err == nil {
-		t.Error("connection survived protocol mismatch")
-	}
-	if pub.Subscribers() != 0 {
-		t.Error("mismatched protocol registered a subscription")
+	for _, proto := range []uint32{3, 4, 5, 99} {
+		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
+			pub := newTestPublisher(t)
+			conn, err := net.Dial("tcp", pub.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			data, err := wire.Marshal(&wire.Subscribe{
+				Protocol: proto, Subscriber: "other", Handler: "f",
+				Source: "func f(x) {\n return\n}", CostModel: "datasize",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := transport.WriteFrame(conn, data); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 1)
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := conn.Read(buf); err == nil {
+				t.Error("connection survived protocol mismatch")
+			}
+			if pub.Subscribers() != 0 {
+				t.Error("mismatched protocol registered a subscription")
+			}
+		})
 	}
 }
 

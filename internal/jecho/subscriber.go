@@ -101,7 +101,7 @@ type SubscriberConfig struct {
 	// existing configurations select exactly the plans they always did.
 	SplitPolicy reconfig.SLOPolicy
 	// LinkEstimateInterval enables live link estimation when > 0: the
-	// subscriber measures RTT from heartbeat echoes (protocol v6) and
+	// subscriber measures RTT from heartbeat echoes and
 	// effective bandwidth from bytes-on-wire over wall time, and publishes
 	// the measured environment into the reconfiguration unit at this
 	// period, so the Pareto front tracks the real link instead of the
@@ -124,13 +124,12 @@ type SubscriberConfig struct {
 	// FlipConfirmations is the hysteresis confirmation count
 	// (0 = reconfig.DefaultFlipConfirmations).
 	FlipConfirmations int
-	// Reliability selects the delivery contract (protocol v5). BestEffort
+	// Reliability selects the delivery contract. BestEffort
 	// — the zero value — is the classic fire-and-forget channel.
 	// AtLeastOnce adds per-subscription sequencing, publisher-side replay,
 	// dedup and gap repair: every event arrives at least once (exactly
 	// once at the handler, which sits behind the dedup) or its loss is
-	// explicitly counted as DataLoss. Requires a v5 publisher; an older
-	// one ignores the request and the channel degrades to best-effort.
+	// explicitly counted as DataLoss.
 	Reliability Reliability
 	// AckEvery paces standalone cumulative acks: one per AckEvery
 	// delivered events (0 = DefaultAckEvery). Idle heartbeats carry the
@@ -633,7 +632,7 @@ func (s *Subscriber) heartbeatLoop(conn transport.Conn, connDone <-chan struct{}
 			seq++
 			hb := &wire.Heartbeat{Seq: seq}
 			if s.link != nil {
-				// The heartbeat doubles as an RTT probe: a v6 publisher
+				// The heartbeat doubles as an RTT probe: the publisher
 				// echoes Seq back and the read loop closes the sample.
 				s.link.Probe(seq)
 			}

@@ -4,14 +4,14 @@
 // that actually exists instead of the one configured at deployment time
 // (§4's environment, refined at runtime).
 //
-// RTT comes from heartbeat echo timing (protocol revision 6): the endpoint
-// records the send time of each heartbeat probe it emits and, when the
-// peer reflects the probe's Seq back, subtracts it on its own clock — no
-// clock synchronisation required. Effective bandwidth comes from the
-// endpoint's own bytes-on-wire counter sampled over wall time: event bytes
-// moved divided by the elapsed interval, skipping intervals too quiet to
-// observe the link (an idle channel says nothing about capacity, so the
-// estimate holds rather than decaying toward zero).
+// RTT comes from heartbeat echo timing: the endpoint records the send time
+// of each heartbeat probe it emits and, when the peer reflects the probe's
+// Seq back, subtracts it on its own clock — no clock synchronisation
+// required. Effective bandwidth comes from the endpoint's own bytes-on-wire
+// counter sampled over wall time: event bytes moved divided by the elapsed
+// interval, skipping intervals too quiet to observe the link (an idle
+// channel says nothing about capacity, so the estimate holds rather than
+// decaying toward zero).
 //
 // Both signals feed exponentially weighted moving averages with a
 // configurable half-life, behind a warm-up gate: until an axis has seen
@@ -39,8 +39,8 @@ const (
 	// must move to count as an observation of the link.
 	DefaultMinBytes = 4096
 	// maxProbesInFlight bounds the probe table. A peer that never echoes
-	// (pre-revision-6, or echoes lost) would otherwise grow it one entry
-	// per heartbeat forever.
+	// (echoes lost) would otherwise grow it one entry per heartbeat
+	// forever.
 	maxProbesInFlight = 64
 )
 

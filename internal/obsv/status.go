@@ -57,7 +57,7 @@ type ChannelStatus struct {
 // LinkStatus is one subscription's live link estimate: the smoothed
 // measurements and how many samples back each axis. A busy channel whose
 // RTT sample count stays at zero (while heartbeats flow) indicates a
-// broken estimator or a pre-v6 peer that cannot echo.
+// broken estimator or lost echoes.
 type LinkStatus struct {
 	// RTTMS is the smoothed round-trip time in milliseconds (0 until the
 	// first echo).

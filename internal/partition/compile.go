@@ -56,9 +56,6 @@ type Compiled struct {
 	// edges plus the edges into non-exit StopNodes. All other edges run
 	// inside fused superinstructions with no hook dispatch.
 	Code *interp.Code
-	// Engine selects the execution engine for all endpoints built on this
-	// handler; the zero value is EngineCompiled.
-	Engine Engine
 
 	pseByEdge map[analysis.Edge]int32
 

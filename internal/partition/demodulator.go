@@ -41,12 +41,8 @@ type Demodulator struct {
 	// modulator side). Defaults to NopProbe.
 	CrossProbe SenderProbe
 
-	profilePlan  atomic.Pointer[Plan]
-	compiledRuns atomic.Int64
+	profilePlan atomic.Pointer[Plan]
 }
-
-// CompiledRuns returns how many messages ran on the compiled engine.
-func (d *Demodulator) CompiledRuns() int64 { return d.compiledRuns.Load() }
 
 // NewDemodulator builds a demodulator executing in the receiver-side
 // environment (which must register the handler's native builtins).
@@ -71,7 +67,7 @@ func (d *Demodulator) ProfilePlan() *Plan { return d.profilePlan.Load() }
 type crossProfiler struct {
 	d       *Demodulator
 	plan    *Plan
-	machine execMachine
+	machine *interp.CodeMachine
 	// baseWork is the sender-side work already spent on the message, so
 	// crossing stats are message-cumulative.
 	baseWork int64
@@ -100,7 +96,7 @@ func (p *crossProfiler) release() {
 
 // profile installs the profiling hook on machine and returns the profiler
 // to release after the run, or nil when no profiling is active.
-func (d *Demodulator) profile(machine execMachine, baseWork int64) *crossProfiler {
+func (d *Demodulator) profile(machine *interp.CodeMachine, baseWork int64) *crossProfiler {
 	plan := d.profilePlan.Load()
 	if plan == nil || len(plan.ProfileIDs()) == 0 {
 		return nil
@@ -128,14 +124,11 @@ func (d *Demodulator) ProcessRaw(msg *wire.Raw) (res *Result, err error) {
 	if msg.Handler != d.c.Prog.Name {
 		return nil, faultf(wire.NackDecode, "partition: raw message for %q handled by %q", msg.Handler, d.c.Prog.Name)
 	}
-	machine, err := d.c.newMachine(d.env, []mir.Value{msg.Event})
+	machine, err := d.c.Code.NewMachine(d.env, []mir.Value{msg.Event})
 	if err != nil {
 		return nil, classify(wire.NackRestore, err)
 	}
 	defer machine.Release()
-	if d.c.Engine == EngineCompiled {
-		d.compiledRuns.Add(1)
-	}
 	if p := d.profile(machine, 0); p != nil {
 		defer p.release()
 	}
@@ -162,14 +155,11 @@ func (d *Demodulator) ProcessContinuation(cont *wire.Continuation) (res *Result,
 	if resume < 0 || resume >= len(d.c.Prog.Instrs) {
 		return nil, faultf(wire.NackRestore, "partition: continuation resume node %d out of range", resume)
 	}
-	machine, err := d.c.restoreMachine(d.env, resume, cont.Vars)
+	machine, err := d.c.Code.Restore(d.env, resume, cont.Vars)
 	if err != nil {
 		return nil, classify(wire.NackRestore, err)
 	}
 	defer machine.Release()
-	if d.c.Engine == EngineCompiled {
-		d.compiledRuns.Add(1)
-	}
 	if p := d.profile(machine, cont.ModWork); p != nil {
 		defer p.release()
 	}

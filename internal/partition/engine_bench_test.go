@@ -12,9 +12,8 @@ import (
 	"methodpart/internal/wire"
 )
 
-// benchHandler compiles the loop handler — the interpreter-bound workload
-// where engine choice dominates — for the given engine.
-func benchHandler(b *testing.B, engine partition.Engine) (*partition.Compiled, *interp.Registry) {
+// benchHandler compiles the loop handler, the interpreter-bound workload.
+func benchHandler(b *testing.B) (*partition.Compiled, *interp.Registry) {
 	b.Helper()
 	u := asm.MustParse(testprog.LoopSource)
 	prog, ok := u.Program("sum")
@@ -26,7 +25,6 @@ func benchHandler(b *testing.B, engine partition.Engine) (*partition.Compiled, *
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Engine = engine
 	return c, reg
 }
 
@@ -57,48 +55,40 @@ func splitPlanFor(b *testing.B, c *partition.Compiled) *partition.Plan {
 }
 
 // BenchmarkModulate measures the sender-side hot path (Modulator.Process
-// under a splitting plan) on both engines.
+// under a splitting plan).
 func BenchmarkModulate(b *testing.B) {
-	for _, engine := range []partition.Engine{partition.EngineStepping, partition.EngineCompiled} {
-		b.Run(engine.String(), func(b *testing.B) {
-			c, reg := benchHandler(b, engine)
-			mod := partition.NewModulator(c, interp.NewEnv(nil, reg))
-			mod.SetPlan(splitPlanFor(b, c))
-			ev := benchEvent(1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := mod.Process(ev)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Cont == nil {
-					b.Fatal("modulator did not split")
-				}
-			}
-		})
+	c, reg := benchHandler(b)
+	mod := partition.NewModulator(c, interp.NewEnv(nil, reg))
+	mod.SetPlan(splitPlanFor(b, c))
+	ev := benchEvent(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := mod.Process(ev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Cont == nil {
+			b.Fatal("modulator did not split")
+		}
 	}
 }
 
 // BenchmarkDemodulate measures the receiver-side hot path
-// (Demodulator.ProcessRaw running the whole handler) on both engines.
+// (Demodulator.ProcessRaw running the whole handler).
 func BenchmarkDemodulate(b *testing.B) {
-	for _, engine := range []partition.Engine{partition.EngineStepping, partition.EngineCompiled} {
-		b.Run(engine.String(), func(b *testing.B) {
-			c, reg := benchHandler(b, engine)
-			demod := partition.NewDemodulator(c, interp.NewEnv(nil, reg))
-			msg := &wire.Raw{Handler: "sum", Event: benchEvent(1024)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := demod.ProcessRaw(msg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.SplitPSE != partition.RawPSEID {
-					b.Fatal("unexpected split")
-				}
-			}
-		})
+	c, reg := benchHandler(b)
+	demod := partition.NewDemodulator(c, interp.NewEnv(nil, reg))
+	msg := &wire.Raw{Handler: "sum", Event: benchEvent(1024)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := demod.ProcessRaw(msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.SplitPSE != partition.RawPSEID {
+			b.Fatal("unexpected split")
+		}
 	}
 }

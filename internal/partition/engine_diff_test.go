@@ -13,69 +13,31 @@ import (
 	"methodpart/internal/wire"
 )
 
-// enginePair builds two independent sender/receiver stacks for the same
-// handler, one per execution engine.
-type enginePair struct {
-	stepping *fixture
-	compiled *fixture
-}
-
-func newEnginePair(t *testing.T) *enginePair {
+// wholeOutcome runs prog unsplit on the stepping interpreter, the reference
+// engine the compiled endpoints are checked against.
+func wholeOutcome(t *testing.T, env *interp.Env, prog *mir.Program, event mir.Value) interp.Outcome {
 	t.Helper()
-	s := newFixture(t, costmodel.NewDataSize())
-	s.c.Engine = partition.EngineStepping
-	c := newFixture(t, costmodel.NewDataSize())
-	if c.c.Engine != partition.EngineCompiled {
-		t.Fatalf("zero-value engine = %v, want compiled", c.c.Engine)
+	m, err := interp.NewMachine(env, prog, []mir.Value{event})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &enginePair{stepping: s, compiled: c}
+	out, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Done {
+		t.Fatal("whole run did not complete")
+	}
+	return out
 }
 
-// compareOutputs asserts both engines modulated an event identically.
-func compareOutputs(t *testing.T, label string, so, co *partition.Output) {
-	t.Helper()
-	if (so.Raw != nil) != (co.Raw != nil) {
-		t.Fatalf("%s: raw presence differs: stepping %v, compiled %v", label, so.Raw != nil, co.Raw != nil)
-	}
-	if (so.Cont != nil) != (co.Cont != nil) {
-		t.Fatalf("%s: continuation presence differs", label)
-	}
-	if so.Suppressed != co.Suppressed {
-		t.Errorf("%s: suppressed: stepping %v, compiled %v", label, so.Suppressed, co.Suppressed)
-	}
-	if so.SplitPSE != co.SplitPSE {
-		t.Errorf("%s: split PSE: stepping %d, compiled %d", label, so.SplitPSE, co.SplitPSE)
-	}
-	if so.ModWork != co.ModWork {
-		t.Errorf("%s: mod work: stepping %d, compiled %d", label, so.ModWork, co.ModWork)
-	}
-	if so.WireBytes != co.WireBytes {
-		t.Errorf("%s: wire bytes: stepping %d, compiled %d", label, so.WireBytes, co.WireBytes)
-	}
-	if so.Cont != nil && co.Cont != nil {
-		if so.Cont.ResumeNode != co.Cont.ResumeNode {
-			t.Errorf("%s: resume node: stepping %d, compiled %d", label, so.Cont.ResumeNode, co.Cont.ResumeNode)
-		}
-		if so.Cont.PSEID != co.Cont.PSEID {
-			t.Errorf("%s: continuation PSE: stepping %d, compiled %d", label, so.Cont.PSEID, co.Cont.PSEID)
-		}
-		if len(so.Cont.Vars) != len(co.Cont.Vars) {
-			t.Errorf("%s: hand-over sizes: stepping %d, compiled %d", label, len(so.Cont.Vars), len(co.Cont.Vars))
-		}
-		for k, sv := range so.Cont.Vars {
-			if cv, ok := co.Cont.Vars[k]; !ok || !mir.Equal(sv, cv) {
-				t.Errorf("%s: hand-over %q: stepping %v, compiled %v", label, k, sv, cv)
-			}
-		}
-	}
-}
-
-// TestEnginesAgreeOnPush runs the paper's push() example through both
-// engines under every completable plan and demands identical sender outputs,
-// receiver results and display side effects.
+// TestEnginesAgreeOnPush runs the paper's push() example split under every
+// completable plan on the compiled endpoints and demands the return value,
+// work total and display side effects of the unsplit stepping run of the
+// same event.
 func TestEnginesAgreeOnPush(t *testing.T) {
-	probe := newEnginePair(t)
-	numPSEs := int32(probe.compiled.c.NumPSEs())
+	probe := newFixture(t, costmodel.NewDataSize())
+	numPSEs := int32(probe.c.NumPSEs())
 
 	events := []struct {
 		name string
@@ -86,45 +48,43 @@ func TestEnginesAgreeOnPush(t *testing.T) {
 	}
 
 	for id := int32(0); id < numPSEs; id++ {
-		split := completeSplitSet(probe.compiled.c, id)
+		split := completeSplitSet(probe.c, id)
 		if split == nil {
 			continue
 		}
 		for _, ev := range events {
 			label := fmt.Sprintf("plan %v event %s", split, ev.name)
-			pair := newEnginePair(t)
-			outs := make(map[string]*partition.Output, 2)
-			ress := make(map[string]*partition.Result, 2)
-			for name, f := range map[string]*fixture{"stepping": pair.stepping, "compiled": pair.compiled} {
-				plan, err := partition.NewPlan(f.c.NumPSEs(), 1, split, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.mod.SetPlan(plan)
-				outs[name], ress[name] = f.deliver(t, ev.make())
+			reg, wantShown := testprog.PushBuiltins()
+			want := wholeOutcome(t, interp.NewEnv(probe.c.Classes, reg), probe.c.Prog, ev.make())
+
+			f := newFixture(t, costmodel.NewDataSize())
+			plan, err := partition.NewPlan(f.c.NumPSEs(), 1, split, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			compareOutputs(t, label, outs["stepping"], outs["compiled"])
-			sres, cres := ress["stepping"], ress["compiled"]
-			if (sres != nil) != (cres != nil) {
-				t.Fatalf("%s: result presence differs", label)
-			}
-			if sres != nil {
-				if !mir.Equal(sres.Return, cres.Return) {
-					t.Errorf("%s: return: stepping %v, compiled %v", label, sres.Return, cres.Return)
+			f.mod.SetPlan(plan)
+			out, res := f.deliver(t, ev.make())
+			// A suppressed event stops at the sender before its bare return,
+			// so only a delivered one accounts for the whole run's work.
+			ret := mir.Value(mir.Null{})
+			if res != nil {
+				ret = res.Return
+				if res.SplitPSE != out.SplitPSE {
+					t.Errorf("%s: result PSE %d, modulator split at %d", label, res.SplitPSE, out.SplitPSE)
 				}
-				if sres.DemodWork != cres.DemodWork {
-					t.Errorf("%s: demod work: stepping %d, compiled %d", label, sres.DemodWork, cres.DemodWork)
-				}
-				if sres.SplitPSE != cres.SplitPSE {
-					t.Errorf("%s: result PSE: stepping %d, compiled %d", label, sres.SplitPSE, cres.SplitPSE)
+				if got := out.ModWork + res.DemodWork; got != want.Work {
+					t.Errorf("%s: work %d+%d, unsplit %d", label, out.ModWork, res.DemodWork, want.Work)
 				}
 			}
-			sd, cd := *pair.stepping.displayed, *pair.compiled.displayed
-			if len(sd) != len(cd) {
-				t.Fatalf("%s: displayed %d vs %d images", label, len(sd), len(cd))
+			if !mir.Equal(ret, want.Return) {
+				t.Errorf("%s: return %v, unsplit %v", label, ret, want.Return)
 			}
-			for i := range sd {
-				if !mir.Equal(sd[i], cd[i]) {
+			shown := *f.displayed
+			if len(shown) != len(*wantShown) {
+				t.Fatalf("%s: displayed %d images, unsplit %d", label, len(shown), len(*wantShown))
+			}
+			for i := range shown {
+				if !mir.Equal(shown[i], (*wantShown)[i]) {
 					t.Errorf("%s: displayed image %d differs", label, i)
 				}
 			}
@@ -133,135 +93,76 @@ func TestEnginesAgreeOnPush(t *testing.T) {
 }
 
 // TestEnginesAgreeOnRandomPrograms is the cross-engine property test: for
-// pseudo-random handlers, every plan, both engines — identical outputs, sink
-// effects, returns and work accounting on both sides of the wire.
+// pseudo-random handlers under every completable plan, the compiled
+// modulator and demodulator, with the continuation crossing the wire, match
+// the unsplit stepping run in return value, sink effects and total work.
 func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			prog := testprog.RandomProgram(seed)
 			oracleReg, _ := testprog.SinkRegistry()
-			base, err := partition.Compile(prog, nil, oracleReg, costmodel.NewDataSize())
+			c, err := partition.Compile(prog, nil, oracleReg, costmodel.NewDataSize())
 			if err != nil {
 				t.Fatalf("compile: %v\n%s", err, prog)
 			}
 			event := mir.Int(seed*17 + 3)
+			wholeReg, wantSunk := testprog.SinkRegistry()
+			want := wholeOutcome(t, interp.NewEnv(nil, wholeReg), prog, event)
 
-			for id := int32(0); id < int32(base.NumPSEs()); id++ {
-				split := completeSplitSet(base, id)
+			for id := int32(0); id < int32(c.NumPSEs()); id++ {
+				split := completeSplitSet(c, id)
 				if split == nil {
 					continue
 				}
-				type run struct {
-					out  *partition.Output
-					res  *partition.Result
-					sunk []mir.Value
+				plan, err := partition.NewPlan(c.NumPSEs(), 1, split, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				runs := make(map[partition.Engine]*run, 2)
-				for _, engine := range []partition.Engine{partition.EngineStepping, partition.EngineCompiled} {
-					c, err := partition.Compile(prog, nil, oracleReg, costmodel.NewDataSize())
-					if err != nil {
-						t.Fatal(err)
-					}
-					c.Engine = engine
-					plan, err := partition.NewPlan(c.NumPSEs(), 1, split, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sendReg, _ := testprog.SinkRegistry()
-					recvReg, recvSunk := testprog.SinkRegistry()
-					mod := partition.NewModulator(c, interp.NewEnv(nil, sendReg))
-					mod.SetPlan(plan)
-					demod := partition.NewDemodulator(c, interp.NewEnv(nil, recvReg))
+				sendReg, _ := testprog.SinkRegistry()
+				recvReg, recvSunk := testprog.SinkRegistry()
+				mod := partition.NewModulator(c, interp.NewEnv(nil, sendReg))
+				mod.SetPlan(plan)
+				demod := partition.NewDemodulator(c, interp.NewEnv(nil, recvReg))
 
-					out, err := mod.Process(event)
-					if err != nil {
-						t.Fatalf("engine %v plan %v: modulate: %v", engine, split, err)
-					}
-					var msg any
-					if out.Raw != nil {
-						msg = out.Raw
-					} else {
-						data, err := wire.Marshal(out.Cont)
-						if err != nil {
-							t.Fatal(err)
-						}
-						msg, err = wire.Unmarshal(data)
-						if err != nil {
-							t.Fatal(err)
-						}
-					}
-					res, err := demod.Process(msg)
-					if err != nil {
-						t.Fatalf("engine %v plan %v: demodulate: %v", engine, split, err)
-					}
-					runs[engine] = &run{out: out, res: res, sunk: *recvSunk}
+				out, err := mod.Process(event)
+				if err != nil {
+					t.Fatalf("plan %v: modulate: %v", split, err)
 				}
-				s, c := runs[partition.EngineStepping], runs[partition.EngineCompiled]
+				var msg any
+				if out.Raw != nil {
+					msg = out.Raw
+				} else {
+					data, err := wire.Marshal(out.Cont)
+					if err != nil {
+						t.Fatal(err)
+					}
+					msg, err = wire.Unmarshal(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := demod.Process(msg)
+				if err != nil {
+					t.Fatalf("plan %v: demodulate: %v", split, err)
+				}
 				label := fmt.Sprintf("seed %d plan %v", seed, split)
-				compareOutputs(t, label, s.out, c.out)
-				if !mir.Equal(s.res.Return, c.res.Return) {
-					t.Errorf("%s: return: stepping %v, compiled %v", label, s.res.Return, c.res.Return)
+				if !mir.Equal(res.Return, want.Return) {
+					t.Errorf("%s: return %v, unsplit %v", label, res.Return, want.Return)
 				}
-				if s.res.DemodWork != c.res.DemodWork {
-					t.Errorf("%s: demod work: stepping %d, compiled %d", label, s.res.DemodWork, c.res.DemodWork)
+				if got := out.ModWork + res.DemodWork; got != want.Work {
+					t.Errorf("%s: work %d+%d, unsplit %d", label, out.ModWork, res.DemodWork, want.Work)
 				}
-				if len(s.sunk) != len(c.sunk) {
-					t.Fatalf("%s: sunk %d vs %d values", label, len(s.sunk), len(c.sunk))
+				if len(*recvSunk) != len(*wantSunk) {
+					t.Fatalf("%s: sunk %d values, unsplit %d", label, len(*recvSunk), len(*wantSunk))
 				}
-				for i := range s.sunk {
-					if !mir.Equal(s.sunk[i], c.sunk[i]) {
-						t.Errorf("%s: sink[%d]: stepping %v, compiled %v", label, i, s.sunk[i], c.sunk[i])
+				for i := range *wantSunk {
+					if !mir.Equal((*recvSunk)[i], (*wantSunk)[i]) {
+						t.Errorf("%s: sink[%d] = %v, unsplit %v", label, i, (*recvSunk)[i], (*wantSunk)[i])
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestCompiledRunsCounters: the compiled-engine run counters advance only
-// when a machine actually executes on the compiled engine — raw
-// pass-throughs and the stepping engine never count.
-func TestCompiledRunsCounters(t *testing.T) {
-	pair := newEnginePair(t)
-
-	// Raw plan: the modulator executes nothing.
-	pair.compiled.deliver(t, testprog.NewImageData(4, 4))
-	if got := pair.compiled.mod.CompiledRuns(); got != 0 {
-		t.Errorf("mod runs after raw delivery = %d, want 0", got)
-	}
-	// The demodulator ran the whole handler on the compiled engine.
-	if got := pair.compiled.demod.CompiledRuns(); got != 1 {
-		t.Errorf("demod runs after raw delivery = %d, want 1", got)
-	}
-
-	// Split plan: both halves execute.
-	split := completeSplitSet(pair.compiled.c, 1)
-	if split == nil {
-		t.Fatal("no completable plan for PSE 1")
-	}
-	plan, err := partition.NewPlan(pair.compiled.c.NumPSEs(), 1, split, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair.compiled.mod.SetPlan(plan)
-	pair.compiled.deliver(t, testprog.NewImageData(4, 4))
-	if got := pair.compiled.mod.CompiledRuns(); got != 1 {
-		t.Errorf("mod runs after split delivery = %d, want 1", got)
-	}
-
-	// The stepping fixture never touches the compiled engine.
-	splan, err := partition.NewPlan(pair.stepping.c.NumPSEs(), 1, split, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair.stepping.mod.SetPlan(splan)
-	pair.stepping.deliver(t, testprog.NewImageData(4, 4))
-	if got := pair.stepping.mod.CompiledRuns(); got != 0 {
-		t.Errorf("stepping mod counted compiled runs: %d", got)
-	}
-	if got := pair.stepping.demod.CompiledRuns(); got != 0 {
-		t.Errorf("stepping demod counted compiled runs: %d", got)
 	}
 }
 

@@ -76,14 +76,9 @@ type Modulator struct {
 	// 0 or 1 profiles every message.
 	SampleEvery uint64
 
-	plan         atomic.Pointer[Plan]
-	seq          atomic.Uint64
-	compiledRuns atomic.Int64
+	plan atomic.Pointer[Plan]
+	seq  atomic.Uint64
 }
-
-// CompiledRuns returns how many events ran on the compiled engine (raw
-// pass-throughs execute nothing and are not counted).
-func (m *Modulator) CompiledRuns() int64 { return m.compiledRuns.Load() }
 
 // NewModulator builds a modulator executing in the sender-side environment.
 // The initial plan ships raw events until a better plan is installed.
@@ -183,14 +178,11 @@ func (m *Modulator) Process(event mir.Value) (out *Output, err error) {
 		return &Output{Raw: raw, SplitPSE: RawPSEID, WireBytes: size}, nil
 	}
 
-	machine, err := m.c.newMachine(m.env, []mir.Value{event})
+	machine, err := m.c.Code.NewMachine(m.env, []mir.Value{event})
 	if err != nil {
 		return nil, classify(wire.NackRestore, err)
 	}
 	defer machine.Release()
-	if m.c.Engine == EngineCompiled {
-		m.compiledRuns.Add(1)
-	}
 	res, err := runSplit(m.c, machine, plan, m.Probe, sampled, 0)
 	if err != nil {
 		return nil, classify(wire.NackRuntime, err)

@@ -16,18 +16,7 @@ import (
 func runWhole(t *testing.T, prog *mir.Program, event mir.Value) ([]mir.Value, mir.Value) {
 	t.Helper()
 	reg, sunk := testprog.SinkRegistry()
-	env := interp.NewEnv(nil, reg)
-	m, err := interp.NewMachine(env, prog, []mir.Value{event})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Done {
-		t.Fatal("whole run did not complete")
-	}
+	out := wholeOutcome(t, interp.NewEnv(nil, reg), prog, event)
 	return *sunk, out.Return
 }
 

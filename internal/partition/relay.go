@@ -18,13 +18,21 @@ type splitResult struct {
 	outcome   interp.Outcome
 }
 
+// liveSize prices the named live registers of machine with a pooled sizer:
+// the size a continuation split here would carry, without the snapshot.
+func liveSize(machine *interp.CodeMachine, names []string) int64 {
+	s := wire.GetSizer()
+	n := machine.LiveSize(names, s)
+	wire.PutSizer(s)
+	return n
+}
+
 // runSplit executes a machine until a flagged PSE (or a forced split before
 // a StopNode), profiling flagged PSE crossings. baseWork is the work already
 // spent on the message upstream, so crossing statistics stay
-// message-cumulative across parties. It drives either engine: the hook only
-// acts on PSE edges and edges into StopNodes, exactly the edges compiled
-// code watches.
-func runSplit(c *Compiled, machine execMachine, plan *Plan, probe SenderProbe, sampled bool, baseWork int64) (*splitResult, error) {
+// message-cumulative across parties. The hook only acts on PSE edges and
+// edges into StopNodes, exactly the edges compiled code watches.
+func runSplit(c *Compiled, machine *interp.CodeMachine, plan *Plan, probe SenderProbe, sampled bool, baseWork int64) (*splitResult, error) {
 	res := &splitResult{splitID: ForcedSplit}
 	machine.SetHook(func(e interp.Edge) bool {
 		ae := analysis.Edge{From: e.From, To: e.To}
@@ -76,12 +84,8 @@ type Relay struct {
 	// Probe receives profiling events (message-cumulative work).
 	Probe SenderProbe
 
-	plan         atomic.Pointer[Plan]
-	compiledRuns atomic.Int64
+	plan atomic.Pointer[Plan]
 }
-
-// CompiledRuns returns how many messages ran on the compiled engine.
-func (r *Relay) CompiledRuns() int64 { return r.compiledRuns.Load() }
 
 // NewRelay builds a relay for a compiled handler. Its initial plan is
 // pass-through (raw flag), forwarding messages untouched.
@@ -118,7 +122,7 @@ func (r *Relay) SetPlan(p *Plan) bool {
 func (r *Relay) Process(msg any) (*Output, error) {
 	plan := r.plan.Load()
 	var (
-		machine  execMachine
+		machine  *interp.CodeMachine
 		baseWork int64
 		seq      uint64
 		handler  string
@@ -133,7 +137,7 @@ func (r *Relay) Process(msg any) (*Output, error) {
 			// Pass-through: forward untouched.
 			return &Output{Raw: m, SplitPSE: RawPSEID, WireBytes: wire.SizeOf(m.Event)}, nil
 		}
-		machine, err = r.c.newMachine(r.env, []mir.Value{m.Event})
+		machine, err = r.c.Code.NewMachine(r.env, []mir.Value{m.Event})
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +154,7 @@ func (r *Relay) Process(msg any) (*Output, error) {
 			// Pass-through: nothing the relay may run.
 			return &Output{Cont: m, SplitPSE: m.PSEID, ModWork: 0, WireBytes: continuationSize(m)}, nil
 		}
-		machine, err = r.c.restoreMachine(r.env, resume, m.Vars)
+		machine, err = r.c.Code.Restore(r.env, resume, m.Vars)
 		if err != nil {
 			return nil, err
 		}
@@ -159,9 +163,6 @@ func (r *Relay) Process(msg any) (*Output, error) {
 		return nil, fmt.Errorf("partition: relay cannot process %T", msg)
 	}
 	defer machine.Release()
-	if r.c.Engine == EngineCompiled {
-		r.compiledRuns.Add(1)
-	}
 
 	res, err := runSplit(r.c, machine, plan, r.Probe, true, baseWork)
 	if err != nil {

@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
@@ -390,5 +392,69 @@ func TestNestedFieldCountsAllocateLinearly(t *testing.T) {
 	if perByteLarge > 2*perByteSmall {
 		t.Errorf("bytes allocated per input byte grew from %.1f to %.1f at 4x the depth, want linear",
 			perByteSmall, perByteLarge)
+	}
+}
+
+// nestedFrame is a complete Raw frame (handler "h", seq 0) whose event is
+// levels objects deep: each has an empty class and one empty-named field
+// holding the next, and the innermost has no fields. A level costs 13 B.
+func nestedFrame(levels int) []byte {
+	frame := []byte{byte(MsgRaw), 1, 0, 0, 0, 'h', 0, 0, 0, 0, 0, 0, 0, 0}
+	for i := 0; i < levels; i++ {
+		frame = append(frame, tagObject, 0, 0, 0, 0)
+		if i == levels-1 {
+			return binary.LittleEndian.AppendUint32(frame, 0)
+		}
+		frame = binary.LittleEndian.AppendUint32(frame, 1)
+		frame = binary.LittleEndian.AppendUint32(frame, 0)
+	}
+	return frame
+}
+
+// nestedValue is the event nestedFrame encodes.
+func nestedValue(levels int) *mir.Object {
+	v := &mir.Object{Fields: map[string]mir.Value{}}
+	for i := 1; i < levels; i++ {
+		v = &mir.Object{Fields: map[string]mir.Value{"": v}}
+	}
+	return v
+}
+
+// TestDeepFrameRejected: a 5.2 MB frame nesting 400k objects used to
+// overflow the decoding goroutine's stack, a fatal error that ends the
+// process. It must fail as a decode error, well inside a 16 MiB stack.
+func TestDeepFrameRejected(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	frame := nestedFrame(400_000)
+	if m, err := Unmarshal(frame); !errors.Is(err, errValueTooDeep) {
+		t.Fatalf("decoding %d B of nested objects: %v, %T; want errValueTooDeep", len(frame), err, m)
+	}
+}
+
+// TestNestingBoundSymmetric: the encoder refuses exactly what the decoder
+// refuses. A value maxValueDepth objects deep round-trips; one level more
+// fails both Marshal and Unmarshal.
+func TestNestingBoundSymmetric(t *testing.T) {
+	at := &Raw{Handler: "h", Event: nestedValue(maxValueDepth)}
+	data, err := Marshal(at)
+	if err != nil {
+		t.Fatalf("marshal at the bound: %v", err)
+	}
+	if !bytes.Equal(data, nestedFrame(maxValueDepth)) {
+		t.Fatal("marshalled value differs from the hand-built frame")
+	}
+	got, err := Unmarshal(data)
+	if err != nil {
+		t.Fatalf("unmarshal at the bound: %v", err)
+	}
+	if !mir.Equal(got.(*Raw).Event, at.Event) {
+		t.Fatal("value at the bound did not round-trip")
+	}
+
+	if _, err := Marshal(&Raw{Handler: "h", Event: nestedValue(maxValueDepth + 1)}); !errors.Is(err, errValueTooDeep) {
+		t.Fatalf("marshal past the bound: %v, want errValueTooDeep", err)
+	}
+	if _, err := Unmarshal(nestedFrame(maxValueDepth + 1)); !errors.Is(err, errValueTooDeep) {
+		t.Fatalf("unmarshal past the bound: %v, want errValueTooDeep", err)
 	}
 }

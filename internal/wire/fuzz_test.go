@@ -87,6 +87,9 @@ func FuzzUnmarshal(f *testing.F) {
 	// epoch (the receiver-side "no stream adopted" sentinel).
 	f.Add([]byte{byte(MsgStreamStart), 1, 2})
 	f.Add([]byte{byte(MsgStreamStart), 0, 0, 0, 0, 0, 0, 0, 0})
+	// Objects nested one level past the bound: the decoder must refuse
+	// them instead of recursing toward a stack overflow.
+	f.Add(nestedFrame(maxValueDepth + 1))
 	// Frames truncated inside each scalar field: every proper prefix of a
 	// compact raw event, continuation and feedback frame, so each u32/u64
 	// length, count and value is cut at every byte.

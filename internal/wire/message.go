@@ -10,36 +10,19 @@ import (
 	"methodpart/internal/mir"
 )
 
-// ProtocolVersion is the wire protocol revision. A subscription handshake
-// carries it; peers reject revisions they cannot speak rather than
-// misinterpreting frames. Revision 2 added heartbeat control frames.
-// Revision 3 added Nack frames (demodulation-failure reports) plus per-PSE
-// failure counts and the sender's active plan version in Feedback.
-// Revision 4 added Batch frames (multiple event frames coalesced into one
-// wire frame). Revision 5 added the opt-in at-least-once delivery layer:
-// SeqEvent envelopes, cumulative Ack frames, Retransmit requests, Lost
-// notices, and the Reliability/ResumeSeq handshake fields (see
-// reliable.go). Revision 6 added heartbeat echoes (Heartbeat.HasEcho /
-// EchoSeq): either side reflects the peer's heartbeat Seq back so each
-// endpoint measures round-trip time on its own clock, feeding the link
-// estimator behind live environment refinement.
+// ProtocolVersion is the one wire protocol revision both ends speak. A
+// subscription handshake carries it, and a publisher refuses any other
+// revision before compiling or sending anything. Revision 6 is: Raw and
+// Continuation event frames, optionally coalesced into Batch frames;
+// Feedback (per-PSE statistics with failure counts and the sender's plan
+// version), Plan and Nack control frames; Heartbeats that carry a flag byte
+// for a piggybacked ack and an echo of the peer's probe, from which each end
+// measures round-trip time on its own clock; and the opt-in at-least-once
+// layer (SeqEvent envelopes, Ack, Retransmit, Lost and StreamStart frames,
+// and the Subscribe handshake's Reliability, ResumeSeq and ResumeEpoch
+// fields; see reliable.go). Every field is always written and always
+// required.
 const ProtocolVersion uint32 = 6
-
-// MinProtocolVersion is the oldest peer revision a current endpoint still
-// interoperates with: a publisher speaking revision 6 downgrades to
-// unbatched frames for a revision-3 subscriber, never sends reliability
-// frames to a revision-4 one, and never solicits heartbeat echoes from a
-// revision-5 one, since everything in revisions 4 through 6 is additive.
-const MinProtocolVersion uint32 = 3
-
-// BatchProtocolVersion is the first revision whose subscribers understand
-// Batch frames; senders must not batch toward older peers.
-const BatchProtocolVersion uint32 = 4
-
-// EchoProtocolVersion is the first revision whose peers understand heartbeat
-// echoes; endpoints must not solicit echoes from older peers (they would
-// never answer, leaving the RTT estimator stuck at its default).
-const EchoProtocolVersion uint32 = 6
 
 // MsgType identifies a framed message.
 type MsgType byte
@@ -60,31 +43,30 @@ const (
 	// MsgHeartbeat is the liveness probe either side sends while idle, so
 	// a silent peer is distinguishable from a silent channel.
 	MsgHeartbeat
-	// MsgNack reports a demodulation failure upstream (protocol revision
-	// 3): the receiver could not complete a message and quarantined it.
+	// MsgNack reports a demodulation failure upstream: the receiver could
+	// not complete a message and quarantined it.
 	MsgNack
 	// MsgBatch coalesces multiple event frames (MsgRaw/MsgContinuation)
-	// into one wire frame (protocol revision 4), amortising per-frame
-	// transport overhead on busy channels. Receivers unpack and process
-	// each entry independently, so per-entry fault containment (NACKs,
+	// into one wire frame, amortising per-frame transport overhead on
+	// busy channels. Receivers unpack and process each entry
+	// independently, so per-entry fault containment (NACKs,
 	// dead-lettering) is preserved.
 	MsgBatch
-	// MsgAck is the cumulative delivery acknowledgement (protocol
-	// revision 5): everything up to Ack.Seq arrived, release the replay
-	// ring behind it.
+	// MsgAck is the cumulative delivery acknowledgement: everything up to
+	// Ack.Seq arrived, release the replay ring behind it.
 	MsgAck
 	// MsgRetransmit asks the publisher to replay a sequence range the
-	// subscriber detected as a gap (protocol revision 5).
+	// subscriber detected as a gap.
 	MsgRetransmit
 	// MsgLost declares a sequence range unrecoverable — evicted from the
-	// replay ring before it could be repaired (protocol revision 5).
+	// replay ring before it could be repaired.
 	MsgLost
 	// MsgSeqEvent is the per-subscription delivery-sequence envelope
-	// around one event frame (protocol revision 5).
+	// around one event frame.
 	MsgSeqEvent
 	// MsgStreamStart announces the delivery stream's epoch as the first
-	// frame of an at-least-once subscription (protocol revision 5), so a
-	// resuming subscriber can tell a continued stream from a fresh one.
+	// frame of an at-least-once subscription, so a resuming subscriber
+	// can tell a continued stream from a fresh one.
 	MsgStreamStart
 )
 
@@ -126,9 +108,8 @@ func (c NackClass) String() string {
 }
 
 // Nack reports one demodulation failure from the receiver back to the
-// sender (protocol revision 3). The sender feeds it into the per-PSE
-// circuit breaker: enough Nacks against one PSE trip it out of the
-// eligible split set.
+// sender. The sender feeds it into the per-PSE circuit breaker: enough Nacks
+// against one PSE trip it out of the eligible split set.
 type Nack struct {
 	// Handler names the handler whose message failed.
 	Handler string
@@ -141,11 +122,11 @@ type Nack struct {
 	Class NackClass
 }
 
-// Batch is one coalesced wire frame holding several event frames (protocol
-// revision 4). Entries are complete Marshal outputs (tag byte included) of
-// MsgRaw or MsgContinuation messages; control frames never batch, because
-// feedback coalesces to-latest and heartbeats are only sent on idle
-// channels. Decoded entries alias the frame they were unmarshalled from.
+// Batch is one coalesced wire frame holding several event frames. Entries
+// are complete Marshal outputs (tag byte included) of MsgRaw or
+// MsgContinuation messages; control frames never batch, because feedback
+// coalesces to-latest and heartbeats are only sent on idle channels. Decoded
+// entries alias the frame they were unmarshalled from.
 type Batch struct {
 	// Entries holds the constituent event frames, in send order.
 	Entries [][]byte
@@ -154,33 +135,31 @@ type Batch struct {
 // Heartbeat trailing-flag bits: the byte after Seq is a bitmask naming the
 // optional fields that follow, in bit order.
 const (
-	hbFlagAck  byte = 1 << 0 // AckSeq follows (revision 5)
-	hbFlagEcho byte = 1 << 1 // EchoSeq follows (revision 6)
+	hbFlagAck  byte = 1 << 0 // AckSeq follows
+	hbFlagEcho byte = 1 << 1 // EchoSeq follows
 )
 
-// Heartbeat is the liveness control message (protocol revision 2). Any
-// received frame counts as liveness; heartbeats exist so liveness frames
-// keep flowing when no events, feedback or plans are due.
+// Heartbeat is the liveness control message. Any received frame counts as
+// liveness; heartbeats exist so liveness frames keep flowing when no events,
+// feedback or plans are due.
 type Heartbeat struct {
 	// Seq increases per heartbeat sent on one connection.
 	Seq uint64
 	// HasAck marks a subscriber heartbeat carrying a piggybacked
-	// cumulative delivery ack (protocol revision 5): an at-least-once
-	// subscriber restates its last contiguous delivery seq on every idle
-	// heartbeat, so the publisher's replay ring drains — and trailing
-	// gaps get repaired — even when no events flow. Legacy heartbeats
-	// decode with HasAck false.
+	// cumulative delivery ack: an at-least-once subscriber restates its
+	// last contiguous delivery seq on every idle heartbeat, so the
+	// publisher's replay ring drains — and trailing gaps get repaired —
+	// even when no events flow.
 	HasAck bool
 	// AckSeq is the piggybacked cumulative ack (meaningful only when
 	// HasAck is set); same semantics as Ack.Seq.
 	AckSeq uint64
-	// HasEcho marks a heartbeat reflecting a peer's probe (protocol
-	// revision 6): EchoSeq repeats the Seq of a heartbeat the peer sent, so
-	// the peer can subtract its recorded send time and obtain one
-	// round-trip sample per heartbeat interval. A pure echo carries Seq 0;
-	// endpoints only echo heartbeats with Seq > 0, so two v6 peers cannot
-	// reflect echoes back and forth forever. Legacy heartbeats decode with
-	// HasEcho false.
+	// HasEcho marks a heartbeat reflecting a peer's probe: EchoSeq
+	// repeats the Seq of a heartbeat the peer sent, so the peer can
+	// subtract its recorded send time and obtain one round-trip sample
+	// per heartbeat interval. A pure echo carries Seq 0; endpoints only
+	// echo heartbeats with Seq > 0, so two peers cannot reflect echoes
+	// back and forth forever.
 	HasEcho bool
 	// EchoSeq is the reflected probe Seq (meaningful only when HasEcho is
 	// set).
@@ -269,8 +248,8 @@ type Plan struct {
 // Subscribe installs a handler at the sender side: the handler source is
 // assembled, analysed and turned into a modulator there.
 type Subscribe struct {
-	// Protocol is the subscriber's wire protocol revision
-	// (ProtocolVersion; zero-valued legacy messages are rejected).
+	// Protocol is the subscriber's wire protocol revision; publishers
+	// accept only ProtocolVersion.
 	Protocol uint32
 	// Subscriber identifies the subscribing component.
 	Subscriber string
@@ -286,16 +265,14 @@ type Subscribe struct {
 	// Natives lists the handler's native (receiver-pinned) functions, so
 	// both ends mark identical StopNodes.
 	Natives []string
-	// Reliability selects the delivery mode (protocol revision 5):
-	// ReliabilityBestEffort (the zero value, and the only behaviour older
-	// revisions have) or ReliabilityAtLeastOnce. Publishers ignore it on
-	// handshakes older than ReliableProtocolVersion.
+	// Reliability selects the delivery mode: ReliabilityBestEffort (the
+	// zero value) or ReliabilityAtLeastOnce.
 	Reliability uint32
 	// ResumeSeq is the subscriber's last contiguously received delivery
-	// sequence number (protocol revision 5, at-least-once only): a
-	// reconnecting subscriber resumes mid-stream — the publisher releases
-	// ring entries up to it and replays what it still retains beyond it.
-	// Zero on a first subscribe.
+	// sequence number (at-least-once only): a reconnecting subscriber
+	// resumes mid-stream — the publisher releases ring entries up to it
+	// and replays what it still retains beyond it. Zero on a first
+	// subscribe.
 	ResumeSeq uint64
 	// ResumeEpoch is the stream epoch ResumeSeq belongs to — the value of
 	// the StreamStart frame that opened the stream the subscriber was
@@ -413,12 +390,8 @@ func (e *Encoder) encodeMessage(msg any) error {
 	case *Heartbeat:
 		e.w.WriteByte(byte(MsgHeartbeat))
 		e.writeU64(m.Seq)
-		// Trailing fields: a flag bitmask (revision 5 defined bit 0 as the
-		// piggybacked ack; revision 6 added bit 1 for the echo), then the
-		// flagged fields in bit order. Pre-5 decoders ignored trailing
-		// bytes on control frames and the revision-5 decoder tested the
-		// flag byte for exactly 1, so both extensions are transparent to
-		// older peers.
+		// A flag bitmask (bit 0 the piggybacked ack, bit 1 the echo), then
+		// the flagged fields in bit order.
 		var flag byte
 		if m.HasAck {
 			flag |= hbFlagAck
@@ -478,8 +451,6 @@ func (e *Encoder) encodeMessage(msg any) error {
 		for _, n := range m.Natives {
 			e.writeString(n)
 		}
-		// Revision-5 trailing fields; pre-5 decoders stop at the natives
-		// and ignore them.
 		e.writeU32(m.Reliability)
 		e.writeU64(m.ResumeSeq)
 		e.writeU64(m.ResumeEpoch)
@@ -670,28 +641,24 @@ func Unmarshal(data []byte) (any, error) {
 		if m.Seq, err = d.readU64(); err != nil {
 			return nil, err
 		}
-		// Trailing fields: absent on legacy frames (flags stay false),
-		// otherwise a flag bitmask followed by the flagged fields in bit
-		// order (ack, then echo). Unknown bits are tolerated — a future
-		// revision's extra fields simply go unread, like trailing bytes
-		// always have on control frames.
-		if d.Remaining() > 0 {
-			flag, err := d.readByte()
-			if err != nil {
+		// The flag bitmask is required, then the flagged fields in bit
+		// order (ack, then echo). Unknown bits are ignored, like trailing
+		// bytes on control frames.
+		flag, err := d.readByte()
+		if err != nil {
+			return nil, err
+		}
+		if flag&hbFlagAck != 0 {
+			if m.AckSeq, err = d.readU64(); err != nil {
 				return nil, err
 			}
-			if flag&hbFlagAck != 0 {
-				if m.AckSeq, err = d.readU64(); err != nil {
-					return nil, err
-				}
-				m.HasAck = true
+			m.HasAck = true
+		}
+		if flag&hbFlagEcho != 0 {
+			if m.EchoSeq, err = d.readU64(); err != nil {
+				return nil, err
 			}
-			if flag&hbFlagEcho != 0 {
-				if m.EchoSeq, err = d.readU64(); err != nil {
-					return nil, err
-				}
-				m.HasEcho = true
-			}
+			m.HasEcho = true
 		}
 		return m, nil
 	case MsgAck:
@@ -793,22 +760,14 @@ func Unmarshal(data []byte) (any, error) {
 			}
 			m.Natives = append(m.Natives, n)
 		}
-		// Revision-5 trailing fields: absent on legacy handshakes, which
-		// decode as best-effort with no resume point. ResumeEpoch is a
-		// later addition with its own guard, so handshakes from earlier
-		// revision-5 builds decode with epoch 0 (no stream adopted).
-		if d.Remaining() > 0 {
-			if m.Reliability, err = d.readU32(); err != nil {
-				return nil, err
-			}
-			if m.ResumeSeq, err = d.readU64(); err != nil {
-				return nil, err
-			}
-			if d.Remaining() > 0 {
-				if m.ResumeEpoch, err = d.readU64(); err != nil {
-					return nil, err
-				}
-			}
+		if m.Reliability, err = d.readU32(); err != nil {
+			return nil, err
+		}
+		if m.ResumeSeq, err = d.readU64(); err != nil {
+			return nil, err
+		}
+		if m.ResumeEpoch, err = d.readU64(); err != nil {
+			return nil, err
 		}
 		return m, nil
 	default:

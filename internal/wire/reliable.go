@@ -5,16 +5,8 @@ import (
 	"fmt"
 )
 
-// ReliableProtocolVersion is the first revision whose peers speak the
-// at-least-once delivery layer: SeqEvent envelopes, cumulative Ack frames,
-// Retransmit requests and Lost notices. A publisher never sends any of
-// them to an older peer, and a v4 subscriber on a v5 publisher simply gets
-// the best-effort path it always had — revision 5 is additive.
-const ReliableProtocolVersion uint32 = 5
-
-// Reliability values carried in the Subscribe handshake (protocol revision
-// 5). The zero value is best-effort, so legacy handshakes — which encode
-// nothing here — decode to the exact behaviour they had before.
+// Reliability values carried in the Subscribe handshake. The zero value is
+// best-effort.
 const (
 	// ReliabilityBestEffort requests the classic fire-and-forget channel:
 	// no sequence envelopes, no replay ring, no acks.
@@ -26,12 +18,11 @@ const (
 	ReliabilityAtLeastOnce uint32 = 1
 )
 
-// Ack is the cumulative delivery acknowledgement (protocol revision 5):
-// the subscriber has durably received every sequenced event with delivery
-// seq <= Seq. The publisher releases replay-ring entries up to it.
-// Subscribers send standalone Acks every few delivered events and
-// piggyback the same value on their idle heartbeats (Heartbeat.AckSeq), so
-// the ring drains even on a quiet channel.
+// Ack is the cumulative delivery acknowledgement: the subscriber has durably
+// received every sequenced event with delivery seq <= Seq. The publisher
+// releases replay-ring entries up to it. Subscribers send standalone Acks
+// every few delivered events and piggyback the same value on their idle
+// heartbeats (Heartbeat.AckSeq), so the ring drains even on a quiet channel.
 type Ack struct {
 	// Seq is the highest contiguously received delivery sequence number.
 	Seq uint64
@@ -60,27 +51,26 @@ type Lost struct {
 	To uint64
 }
 
-// StreamStart announces the delivery stream's epoch (protocol revision 5):
-// the publisher sends it as the first frame of every at-least-once
-// subscription, before any sequenced event. An epoch identifies one
-// publisher-side sequence numbering; a resuming subscriber whose stored
-// epoch differs knows its resume point belongs to a dead stream (publisher
-// restart, evicted orphan, duplicate-triple fresh state) and must reset its
-// dedup state instead of silently discarding the new stream's events as
-// duplicates.
+// StreamStart announces the delivery stream's epoch: the publisher sends it
+// as the first frame of every at-least-once subscription, before any
+// sequenced event. An epoch identifies one publisher-side sequence
+// numbering; a resuming subscriber whose stored epoch differs knows its
+// resume point belongs to a dead stream (publisher restart, evicted orphan,
+// duplicate-triple fresh state) and must reset its dedup state instead of
+// silently discarding the new stream's events as duplicates.
 type StreamStart struct {
 	// Epoch identifies the stream's sequence numbering. Never 0 on the
 	// wire — 0 is the subscriber-side "no stream adopted yet" sentinel.
 	Epoch uint64
 }
 
-// SeqEvent is the delivery-sequencing envelope (protocol revision 5): one
-// complete event frame (a Marshal of MsgRaw or MsgContinuation — or, as a
-// batch entry, exactly that) stamped with the subscription's monotonic
-// delivery sequence number. The envelope is applied per subscription at
-// send time, so class-shared frame bytes stay identical across members and
-// the seq lives outside the shared payload. Payload aliases the input
-// frame on decode; it stays valid only as long as the input does.
+// SeqEvent is the delivery-sequencing envelope: one complete event frame (a
+// Marshal of MsgRaw or MsgContinuation — or, as a batch entry, exactly that)
+// stamped with the subscription's monotonic delivery sequence number. The
+// envelope is applied per subscription at send time, so class-shared frame
+// bytes stay identical across members and the seq lives outside the shared
+// payload. Payload aliases the input frame on decode; it stays valid only as
+// long as the input does.
 type SeqEvent struct {
 	// Seq is the per-subscription delivery sequence number (first event =
 	// 1; 0 never appears on the wire).

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestReliableRoundTrips covers the revision-5 control frames.
+// TestReliableRoundTrips covers the at-least-once control frames.
 func TestReliableRoundTrips(t *testing.T) {
 	inner, err := Marshal(&Nack{Handler: "h", Seq: 1}) // any valid frame works as a payload
 	if err != nil {
@@ -121,8 +121,8 @@ func TestRangeFramesRejectInverted(t *testing.T) {
 	}
 }
 
-// TestSubscribeReliabilityRoundTrip covers the revision-5 handshake
-// fields on the current encoding.
+// TestSubscribeReliabilityRoundTrip covers the handshake's reliability
+// fields.
 func TestSubscribeReliabilityRoundTrip(t *testing.T) {
 	in := &Subscribe{
 		Protocol: ProtocolVersion, Subscriber: "s", Handler: "h",
@@ -143,81 +143,43 @@ func TestSubscribeReliabilityRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubscribePreEpochDowngrade: a handshake from an earlier revision-5
-// build — Reliability and ResumeSeq present, no ResumeEpoch — decodes with
-// epoch 0, which every publisher state treats as foreign (fresh stream).
-func TestSubscribePreEpochDowngrade(t *testing.T) {
-	m := &Subscribe{
-		Protocol: ProtocolVersion, Subscriber: "mid", Handler: "h",
-		Source: "src", CostModel: "datasize",
-		Reliability: ReliabilityAtLeastOnce, ResumeSeq: 55,
-	}
-	e := NewEncoder()
-	e.w.WriteByte(byte(MsgSubscribe))
-	e.writeU32(m.Protocol)
-	e.writeString(m.Subscriber)
-	e.writeString(m.Channel)
-	e.writeString(m.Handler)
-	e.writeString(m.Source)
-	e.writeString(m.CostModel)
-	e.writeU32(0) // no natives
-	e.writeU32(m.Reliability)
-	e.writeU64(m.ResumeSeq)
-	data := make([]byte, e.Len())
-	copy(data, e.Bytes())
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := got.(*Subscribe)
-	if out.Reliability != ReliabilityAtLeastOnce || out.ResumeSeq != 55 || out.ResumeEpoch != 0 {
-		t.Fatalf("pre-epoch subscribe mis-decoded: %+v", out)
-	}
-}
-
-// legacySubscribe hand-encodes a pre-revision-5 Subscribe frame — exactly
-// the bytes a v4 peer would produce, with nothing after the natives.
-func legacySubscribe(m *Subscribe) []byte {
-	e := NewEncoder()
-	e.w.WriteByte(byte(MsgSubscribe))
-	e.writeU32(m.Protocol)
-	e.writeString(m.Subscriber)
-	e.writeString(m.Channel)
-	e.writeString(m.Handler)
-	e.writeString(m.Source)
-	e.writeString(m.CostModel)
-	e.writeU32(uint32(len(m.Natives)))
-	for _, n := range m.Natives {
-		e.writeString(n)
-	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-// TestSubscribeV4Downgrade: a legacy handshake without the trailing
-// reliability fields decodes to best-effort with no resume point — the v5
-// publisher treats a v4 subscriber exactly as a v4 publisher did.
-func TestSubscribeV4Downgrade(t *testing.T) {
-	data := legacySubscribe(&Subscribe{
-		Protocol: 4, Subscriber: "old", Handler: "h",
+// truncatedSubscribe is a full Subscribe frame less its last cut bytes.
+func truncatedSubscribe(t *testing.T, cut int) []byte {
+	t.Helper()
+	data, err := Marshal(&Subscribe{
+		Protocol: ProtocolVersion, Subscriber: "s", Handler: "h",
 		Source: "src", CostModel: "datasize", Natives: []string{"n"},
+		Reliability: ReliabilityAtLeastOnce, ResumeSeq: 55, ResumeEpoch: 7,
 	})
-	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got.(*Subscribe)
-	if m.Subscriber != "old" || len(m.Natives) != 1 {
-		t.Fatalf("legacy subscribe mis-decoded: %+v", m)
-	}
-	if m.Reliability != ReliabilityBestEffort || m.ResumeSeq != 0 {
-		t.Fatalf("legacy subscribe grew reliability fields: %+v", m)
+	return data[:len(data)-cut]
+}
+
+// TestSubscribeWithoutEpochRejected: a handshake that ends after ResumeSeq,
+// as earlier at-least-once builds wrote it, is a decode error rather than
+// a resume with epoch 0.
+func TestSubscribeWithoutEpochRejected(t *testing.T) {
+	if m, err := Unmarshal(truncatedSubscribe(t, 8)); err == nil {
+		t.Fatalf("subscribe without ResumeEpoch decoded: %+v", m)
 	}
 }
 
-// TestHeartbeatAckPiggyback covers the revision-5 heartbeat extension and
-// the legacy form (seq only, no flag byte).
+// TestSubscribeWithoutReliabilityRejected: a handshake that ends after the
+// natives, as pre-reliability peers wrote it, is a decode error rather than
+// a best-effort subscription, and so is every cut inside the trailing
+// Reliability, ResumeSeq and ResumeEpoch fields.
+func TestSubscribeWithoutReliabilityRejected(t *testing.T) {
+	for cut := 1; cut <= 4+8+8; cut++ {
+		if m, err := Unmarshal(truncatedSubscribe(t, cut)); err == nil {
+			t.Fatalf("subscribe less its last %d bytes decoded: %+v", cut, m)
+		}
+	}
+}
+
+// TestHeartbeatAckPiggyback covers the heartbeat's piggybacked ack, and
+// rejects a heartbeat without its flag byte.
 func TestHeartbeatAckPiggyback(t *testing.T) {
 	data, err := Marshal(&Heartbeat{Seq: 3, HasAck: true, AckSeq: 88})
 	if err != nil {
@@ -244,13 +206,9 @@ func TestHeartbeatAckPiggyback(t *testing.T) {
 		t.Fatalf("ackless heartbeat grew an ack: %+v", hb)
 	}
 
-	// Legacy frame: tag + seq, no flag byte at all.
-	legacy := []byte{byte(MsgHeartbeat), 6, 0, 0, 0, 0, 0, 0, 0}
-	got, err = Unmarshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb := got.(*Heartbeat); hb.Seq != 6 || hb.HasAck {
-		t.Fatalf("legacy heartbeat mis-decoded: %+v", hb)
+	// Tag + seq with no flag byte: the frame is truncated.
+	short := []byte{byte(MsgHeartbeat), 6, 0, 0, 0, 0, 0, 0, 0}
+	if m, err := Unmarshal(short); err == nil {
+		t.Fatalf("heartbeat without its flag byte decoded: %+v", m)
 	}
 }

@@ -40,6 +40,15 @@ const (
 // group of slots costs no more than an unhinted one until fields arrive.
 const maxFieldHint = 8
 
+// maxValueDepth bounds how many objects a value may nest. Encoding and
+// decoding recurse once per level, so an unbounded peer-supplied nesting
+// would exhaust the goroutine stack, a fatal error no recover contains.
+// The encoder refuses exactly what the decoder refuses, so a sender never
+// ships a frame its receiver rejects.
+const maxValueDepth = 4096
+
+var errValueTooDeep = fmt.Errorf("wire: value nests more than %d objects", maxValueDepth)
+
 // Encoder serialises MIR values with reference deduplication. One Encoder
 // encodes one message; references are shared across all values written
 // through it. Reset makes an Encoder reusable across messages (the pooled
@@ -50,6 +59,8 @@ type Encoder struct {
 	objSeen map[*mir.Object]uint32
 	memSeen map[memKey]uint32
 	nextRef uint32
+	// depth is how many objects enclose the value being written.
+	depth int
 	// names is a scratch slice for sorting field/var names with stack
 	// discipline: each (possibly nested) use appends its names after the
 	// ones already in flight and truncates back when done, so recursion
@@ -81,6 +92,7 @@ func (e *Encoder) Reset() {
 	clear(e.objSeen)
 	clear(e.memSeen)
 	e.nextRef = 0
+	e.depth = 0
 	e.names = e.names[:0]
 }
 
@@ -168,6 +180,9 @@ func (e *Encoder) EncodeValue(v mir.Value) error {
 			e.writeU32(ref)
 			return nil
 		}
+		if e.depth == maxValueDepth {
+			return errValueTooDeep
+		}
 		e.w.WriteByte(tagObject)
 		e.objSeen[x] = e.nextRef
 		e.nextRef++
@@ -179,13 +194,16 @@ func (e *Encoder) EncodeValue(v mir.Value) error {
 		names := e.names[base:]
 		slices.Sort(names)
 		e.writeU32(uint32(len(names)))
+		e.depth++
 		for _, n := range names {
 			e.writeString(n)
 			if err := e.EncodeValue(x.Fields[n]); err != nil {
+				e.depth--
 				e.names = e.names[:base]
 				return err
 			}
 		}
+		e.depth--
 		e.names = e.names[:base]
 	default:
 		return fmt.Errorf("wire: cannot encode %T", v)
@@ -241,6 +259,8 @@ type Decoder struct {
 	refBuf   [4]mir.Value
 	moreRefs []mir.Value
 	nrefs    int
+	// depth is how many objects enclose the value being read.
+	depth int
 }
 
 // NewDecoder creates a decoder over the given bytes.
@@ -409,6 +429,9 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 		}
 		return d.addRef(arr), nil
 	case tagObject:
+		if d.depth == maxValueDepth {
+			return nil, errValueTooDeep
+		}
 		class, err := d.readName()
 		if err != nil {
 			return nil, err
@@ -432,6 +455,7 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 		// back-references resolve in encoder order.
 		obj := &mir.Object{Class: class, Fields: make(map[string]mir.Value, min(nf, maxFieldHint))}
 		d.addRef(obj)
+		d.depth++
 		for i := uint32(0); i < nf; i++ {
 			name, err := d.readName()
 			if err != nil {
@@ -443,6 +467,7 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 			}
 			obj.Fields[name] = fv
 		}
+		d.depth--
 		return obj, nil
 	case tagRef:
 		ref, err := d.readU32()
