@@ -1,10 +1,9 @@
 package jecho
 
 import (
+	"slices"
 	"sync"
 	"time"
-
-	"methodpart/internal/partition"
 )
 
 // Circuit-breaker defaults, following the repo's knob convention: zero
@@ -243,8 +242,8 @@ func (b *pseBreaker) openLocked(id int32) bool {
 }
 
 // OpenIDs returns the sorted PSEs currently excluded (open, cooldown not
-// yet elapsed). PSEs whose cooldown has passed flip to half-open as a side
-// effect, mirroring Open.
+// yet elapsed), or nil without allocating when none is. PSEs whose
+// cooldown has passed flip to half-open as a side effect, mirroring Open.
 func (b *pseBreaker) OpenIDs() []int32 {
 	if b == nil {
 		return nil
@@ -257,5 +256,6 @@ func (b *pseBreaker) OpenIDs() []int32 {
 			out = append(out, id)
 		}
 	}
-	return partition.SortedIDs(out)
+	slices.Sort(out)
+	return out
 }

@@ -257,6 +257,31 @@ func breakerPSE(t *testing.T, c *partition.Compiled, from, to int) int32 {
 	return -1
 }
 
+// TestSelectionSequenceAllocs pins the subscriber's per-selection
+// sequence (selectPlan: OpenIDs → SetTripped → SelectPlan) with no open
+// breaker to exactly the two objects a selection returns, the Plan and
+// the wire.Plan. A breaker holding a closed-state failure keeps OpenIDs
+// walking its state map.
+func TestSelectionSequenceAllocs(t *testing.T) {
+	c := breakerCompiled(t)
+	stats, _, postID := pushStats(c, t)
+	b, _ := testBreaker(3, 10*time.Second, 30*time.Second)
+	b.Fail(postID)
+	unit := newPolicyUnit(c, costmodel.DefaultEnvironment(), reconfig.LatencyFirst, 0.1, 0)
+	run := func() {
+		unit.SetTripped(b.OpenIDs())
+		if _, _, err := unit.SelectPlan(stats); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run() // the unit's selection buffers and the cut's plan template
+	}
+	if got := testing.AllocsPerRun(100, run); got != 2 {
+		t.Fatalf("OpenIDs → SetTripped → SelectPlan allocates %.0f objects, want 2", got)
+	}
+}
+
 // pushStats fabricates the profile that makes the post-transform cut
 // optimal: large incoming images, small resized continuations.
 func pushStats(c *partition.Compiled, t *testing.T) (map[int32]costmodel.Stat, int32, int32) {

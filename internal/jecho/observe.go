@@ -448,16 +448,14 @@ func minCutStatus(u *reconfig.Unit) *obsv.MinCutStatus {
 	if ex == nil {
 		return nil
 	}
-	caps := make(map[int32]int64, len(ex.Capacities))
-	for id, c := range ex.Capacities {
-		caps[id] = c
-	}
+	// The explanation is a fresh snapshot this status owns; only its front
+	// cuts alias the handler's shared cut table.
 	ms := &obsv.MinCutStatus{
 		Version:    ex.Version,
-		Cut:        append([]int32(nil), ex.Cut...),
+		Cut:        ex.Cut,
 		CutValue:   ex.CutValue,
-		Tripped:    append([]int32(nil), ex.Tripped...),
-		Capacities: caps,
+		Tripped:    ex.Tripped,
+		Capacities: ex.Capacities,
 		Profiled:   ex.Profiled,
 		Policy:     ex.Policy.String(),
 		Chosen:     ex.Chosen,
@@ -468,9 +466,10 @@ func minCutStatus(u *reconfig.Unit) *obsv.MinCutStatus {
 			LatencyMS:     ex.Env.LatencyMS,
 		},
 		Suppressed:      ex.Suppressed,
-		PendingCut:      append([]int32(nil), ex.PendingCut...),
+		PendingCut:      ex.PendingCut,
 		PendingStreak:   ex.PendingStreak,
 		FlipsSuppressed: ex.FlipsSuppressed,
+		Complete:        ex.Complete,
 	}
 	for _, fp := range ex.Front {
 		ms.Front = append(ms.Front, obsv.FrontPointStatus{

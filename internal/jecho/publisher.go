@@ -928,18 +928,18 @@ func (p *Publisher) handleAck(s *subscription, seq uint64) {
 
 // deliverReplay ships one replay outcome to the subscriber: the evicted
 // prefix leaves as a Lost notice on the control lane (loss is declared,
-// never silent), the retained frames re-enter the send queue carrying
+// never silent) and counts toward DataLoss only where no earlier replay
+// declared it, the retained frames re-enter the send queue carrying
 // their original sequence numbers — the subscriber's dedup absorbs any
 // overshoot. Replayed frames ship as originally modulated; continuations
 // are self-describing (PSEID, resume node, saved vars), so a plan flip
 // landing mid-replay cannot desynchronise the demodulator.
 func (p *Publisher) deliverReplay(s *subscription, rep replaySet) {
 	if rep.lostTo != 0 {
-		n := rep.lostTo - rep.lostFrom + 1
-		s.metrics.dataLoss.Add(n)
+		s.metrics.dataLoss.Add(rep.lostNew)
 		traceDataLoss(p.cfg.Tracer, s.channel, s.id, rep.lostFrom, rep.lostTo)
-		p.cfg.Logf("jecho publisher: sub %s: ring evicted seqs %d..%d before repair; declaring %d events lost",
-			s.id, rep.lostFrom, rep.lostTo, n)
+		p.cfg.Logf("jecho publisher: sub %s: ring evicted seqs %d..%d before repair; declaring them lost (%d not declared before)",
+			s.id, rep.lostFrom, rep.lostTo, rep.lostNew)
 		if data, err := wire.Marshal(&wire.Lost{From: rep.lostFrom, To: rep.lostTo}); err == nil {
 			_ = s.pipe.enqueueControl(data) // retired pipe: the resume on reconnect re-declares
 		}

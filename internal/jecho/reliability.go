@@ -107,6 +107,10 @@ type replaySet struct {
 	// lostFrom/lostTo is the evicted prefix, inclusive; lostTo == 0 means
 	// nothing was lost.
 	lostFrom, lostTo uint64
+	// lostNew counts the seqs of [lostFrom, lostTo] no earlier replay
+	// declared lost: the share the publisher adds to DataLoss. The Lost
+	// notice still carries the whole range, which a resume may need again.
+	lostNew uint64
 }
 
 // relState is the publisher-side half of one at-least-once stream: the
@@ -157,6 +161,10 @@ type relState struct {
 	detachedAt time.Time
 
 	evictions uint64 // guarded by mu; snapshot via stats
+	// lossCounted is the highest seq already counted as lost (guarded by
+	// mu): repeated replays re-declare the same evicted prefix, and only
+	// seqs beyond this horizon are counted again.
+	lossCounted uint64
 
 	// occupancy samples the ring's retained bytes after every stage, so
 	// the exported histogram shows how hard the budget is working.
@@ -317,7 +325,8 @@ func (r *relState) replayRange(from, to uint64) replaySet {
 
 // buildReplayLocked assembles [from, to]: the sub-range the ring evicted
 // becomes the lost prefix, the rest is retained frames (one extra
-// reference each, owned by the caller).
+// reference each, owned by the caller). It advances the loss-counting
+// horizon past the lost prefix.
 func (r *relState) buildReplayLocked(from, to uint64) replaySet {
 	var rep replaySet
 	if from < r.headSeq {
@@ -327,6 +336,10 @@ func (r *relState) buildReplayLocked(from, to uint64) replaySet {
 			hi = to
 		}
 		rep.lostTo = hi
+		if hi > r.lossCounted {
+			rep.lostNew = hi - max(from-1, r.lossCounted)
+			r.lossCounted = hi
+		}
 		from = r.headSeq
 	}
 	for seq := from; seq <= to; seq++ {

@@ -176,6 +176,64 @@ func TestRelStateEvictionDeclaresLostPrefix(t *testing.T) {
 	r.close()
 }
 
+// TestRepeatedIdleReplaysCountLossOnce: idle replays keep re-declaring
+// the same evicted prefix in their Lost notices, but the publisher counts
+// each evicted seq into DataLoss once, so its count equals the evictions
+// exactly — also when a later eviction extends the prefix.
+func TestRepeatedIdleReplaysCountLossOnce(t *testing.T) {
+	p := &Publisher{cfg: PublisherConfig{Logf: t.Logf}}
+	s := &subscription{id: "s", rel: newRelState(250), metrics: &channelMetrics{}} // two 100-byte frames fit
+	s.pipe = newSendPipeline(nil, 64, DropNewest, supervision{}, batchConfig{}, s.metrics, nil)
+	var notices []wire.Lost
+	drain := func() {
+		for len(s.pipe.ctrl) > 0 {
+			msg, err := wire.Unmarshal(<-s.pipe.ctrl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			notices = append(notices, *msg.(*wire.Lost))
+		}
+		for len(s.pipe.queue) > 0 {
+			(<-s.pipe.queue).f.Release()
+		}
+	}
+	idle := func(acks int) {
+		for i := 0; i < acks; i++ {
+			p.handleAck(s, 0) // the subscriber holds nothing contiguous
+			drain()
+		}
+	}
+	for i := 0; i < 5; i++ {
+		s.rel.stage(relFrame(100)) // evicts 1..3
+	}
+	idle(16) // replays at the 1st, 3rd, 7th and 15th repeat
+	if len(notices) != 4 {
+		t.Fatalf("%d Lost notices after 16 idle acks, want 4", len(notices))
+	}
+	for _, n := range notices {
+		if n.From != 1 || n.To != 3 {
+			t.Fatalf("Lost notice %d..%d, want the whole evicted prefix 1..3", n.From, n.To)
+		}
+	}
+	if got := s.metrics.dataLoss.Load(); got != 3 {
+		t.Fatalf("DataLoss = %d after 4 replays of one 3-seq prefix, want 3", got)
+	}
+
+	for i := 0; i < 3; i++ {
+		s.rel.stage(relFrame(100)) // evicts 4..6
+	}
+	notices = nil
+	idle(20) // the backoff reached 16 repeats; staging did not reset it
+	if len(notices) == 0 || notices[len(notices)-1].From != 1 || notices[len(notices)-1].To != 6 {
+		t.Fatalf("Lost notices after the second eviction = %+v, want 1..6", notices)
+	}
+	_, _, _, evictions := s.rel.stats()
+	if got := s.metrics.dataLoss.Load(); got != evictions || got != 6 {
+		t.Fatalf("DataLoss = %d, evictions = %d, want both 6", got, evictions)
+	}
+	s.rel.close()
+}
+
 func TestRelStateOversizedFrameStaysRepairable(t *testing.T) {
 	r := newRelState(64)
 	f := relFrame(1000) // alone over budget: kept anyway until displaced

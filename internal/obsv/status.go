@@ -121,7 +121,7 @@ type MinCutStatus struct {
 	CutValue int64 `json:"cut_value"`
 	// Tripped lists the PSEs priced out by open breakers.
 	Tripped []int32 `json:"tripped,omitempty"`
-	// Capacities are the per-PSE edge capacities the max-flow saw,
+	// Capacities are the per-PSE edge capacities the selection priced,
 	// indexed by PSE id.
 	Capacities map[int32]int64 `json:"capacities"`
 	// Profiled reports how many PSEs had live statistics (vs. static
@@ -152,6 +152,11 @@ type MinCutStatus struct {
 	PendingStreak int `json:"pending_streak,omitempty"`
 	// FlipsSuppressed is the unit's cumulative suppressed-flip count.
 	FlipsSuppressed uint64 `json:"flips_suppressed,omitempty"`
+	// Complete reports that the candidate-cut enumeration behind the
+	// selection was complete, so the balanced point is the cheapest
+	// enumerated cut. False means the enumeration stopped at the
+	// candidate cap and a max-flow priced the balanced point.
+	Complete bool `json:"complete"`
 }
 
 // EnvStatus is the costmodel.Environment a selection priced against, as

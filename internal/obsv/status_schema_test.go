@@ -54,6 +54,7 @@ func TestSplitStatusGoldenJSON(t *testing.T) {
 				PendingCut:      []int32{0},
 				PendingStreak:   2,
 				FlipsSuppressed: 5,
+				Complete:        true,
 			},
 			Link: &LinkStatus{
 				RTTMS:               25,
@@ -149,7 +150,8 @@ func TestSplitStatusGoldenJSON(t *testing.T) {
           0
         ],
         "pending_streak": 2,
-        "flips_suppressed": 5
+        "flips_suppressed": 5,
+        "complete": true
       },
       "link": {
         "rtt_ms": 25,
@@ -183,7 +185,7 @@ func TestSplitStatusGoldenJSON(t *testing.T) {
 	if mc.Policy != "cost-first" {
 		t.Errorf("round trip policy = %q", mc.Policy)
 	}
-	if mc.Env == nil || mc.Env.Bandwidth != 320 || !mc.Suppressed || mc.PendingStreak != 2 || mc.FlipsSuppressed != 5 {
+	if mc.Env == nil || mc.Env.Bandwidth != 320 || !mc.Suppressed || mc.PendingStreak != 2 || mc.FlipsSuppressed != 5 || !mc.Complete {
 		t.Errorf("round trip lost hysteresis detail: %+v", mc)
 	}
 	if l := back.Channels[0].Link; l == nil || l.RTTMS != 25 || l.BandwidthSamples != 13 || !l.Warm {

@@ -8,7 +8,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"methodpart/internal/analysis"
@@ -59,10 +59,10 @@ type Compiled struct {
 
 	pseByEdge map[analysis.Edge]int32
 
-	// cuts memoizes ConvexCuts per candidate cap; cutEnumerations counts
-	// the enumerations actually run. Both guarded by cutsMu.
+	// cuts memoizes the cut table per candidate cap; cutEnumerations
+	// counts the enumerations actually run. Both guarded by cutsMu.
 	cutsMu          sync.Mutex
-	cuts            map[int][][]int32
+	cuts            map[int]*CutTable
 	cutEnumerations int
 }
 
@@ -230,6 +230,6 @@ func (c *Compiled) ValidateSplitSet(ids []int32) error {
 func SortedIDs(ids []int32) []int32 {
 	out := make([]int32, len(ids))
 	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

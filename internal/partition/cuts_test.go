@@ -64,3 +64,41 @@ func TestConvexCutsEnumeratedOncePerCap(t *testing.T) {
 		t.Errorf("enumerations = %d, want the cap-64 list still cached", c.cutEnumerations)
 	}
 }
+
+// TestCutTableCompleteness pins the Complete bit — set only when the
+// enumeration ran out of source sets below the cap — and the per-cut
+// caches: one validity answer and one shared plan template per cut and
+// profiling mode.
+func TestCutTableCompleteness(t *testing.T) {
+	c := compilePush(t)
+	full := c.CutTable(64)
+	if !full.Complete || len(full.Cuts) < 2 {
+		t.Fatalf("cap 64: %d cuts, complete=%v; want every cut, complete", len(full.Cuts), full.Complete)
+	}
+	if capped := c.CutTable(len(full.Cuts) - 1); capped.Complete {
+		t.Errorf("cap %d of %d cuts reports a complete enumeration", len(full.Cuts)-1, len(full.Cuts))
+	}
+	if exact := c.CutTable(len(full.Cuts)); !EqualCut(exact.Cuts[len(exact.Cuts)-1], full.Cuts[len(full.Cuts)-1]) {
+		t.Errorf("cap %d: cuts %v, want %v", len(full.Cuts), exact.Cuts, full.Cuts)
+	}
+	for i, cut := range full.Cuts {
+		if !full.Valid(i) || !full.Valid(i) {
+			t.Errorf("cut %v reported invalid", cut)
+		}
+		for _, all := range []bool{false, true} {
+			p, err := full.Plan(i, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := full.Plan(i, all); again != p {
+				t.Errorf("cut %v: plan template rebuilt", cut)
+			}
+			if !EqualCut(p.SplitIDs(), cut) || p.Version() != 0 || (len(p.ProfileIDs()) == c.NumPSEs()) != all {
+				t.Errorf("cut %v profileAll=%v: template %v", cut, all, p)
+			}
+			if v := p.WithVersion(7); v.Version() != 7 || v.Fingerprint() != p.Fingerprint() || p.Version() != 0 {
+				t.Errorf("WithVersion(7) = %v from %v", v, p)
+			}
+		}
+	}
+}

@@ -78,6 +78,14 @@ func NewPlan(numPSEs int, version uint64, splitIDs, profileIDs []int32) (*Plan, 
 	return p, nil
 }
 
+// WithVersion returns a copy of p stamped with version v. The copy shares
+// p's immutable flag and id slices, so it costs one allocation.
+func (p *Plan) WithVersion(v uint64) *Plan {
+	q := *p
+	q.version = v
+	return &q
+}
+
 // Fingerprint is a stable 64-bit identity of the plan's observable
 // behaviour: the sorted split and profile sets. The version is not part of
 // it — two plans of the same handler that differ only in version modulate

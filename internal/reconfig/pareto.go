@@ -1,13 +1,13 @@
 package reconfig
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"methodpart/internal/costmodel"
 	"methodpart/internal/graph"
-	"methodpart/internal/partition"
 )
 
 // SLOPolicy names the service-level objective a channel optimises for when
@@ -99,87 +99,53 @@ type FrontPoint struct {
 	Balanced bool
 	// Chosen marks the point the active policy selected.
 	Chosen bool
+
+	// idx is the cut's index in the priced cut list.
+	idx int
 }
 
-// vectorFor is the per-PSE cost vector: profiled where statistics exist,
-// the static estimate otherwise (mirroring Capacity's fallback).
-func (u *Unit) vectorFor(id int32, stats map[int32]costmodel.Stat, env costmodel.Environment) costmodel.Vector {
-	if st, ok := stats[id]; ok && st.Count > 0 {
-		return costmodel.PSEVector(st, env)
-	}
-	pse, ok := u.c.PSE(id)
-	if !ok {
-		return costmodel.Vector{}
-	}
-	return costmodel.StaticVector(pse.Static, env)
-}
-
-// buildFront enumerates candidate cuts, prices each as a cost vector,
-// drops dominated points and candidates priced out by the breaker overlay
-// (any tripped member pushes the scalar value to InfCapacity), and pins the
-// balanced min-cut's point. It returns the front sorted deterministically
-// (bytes, then latency, then cut) and the index of the balanced point.
-func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environment, balCut []int32, balValue int64) ([]FrontPoint, int) {
-	max := u.MaxCandidates
-	if max <= 0 {
-		max = DefaultMaxCandidates
-	}
-	// The enumeration is shared with every unit on this handler; the
-	// full slice expression makes the append copy instead of writing into
-	// the shared backing array.
-	cuts := u.c.ConvexCuts(max)
-	if !partition.ContainsCut(cuts, balCut) {
-		cuts = append(cuts[:len(cuts):len(cuts)], balCut)
-	}
-
-	points := make([]FrontPoint, 0, len(cuts))
-	for _, cut := range cuts {
-		var value int64
-		var vec costmodel.Vector
-		for _, id := range cut {
-			value += u.capacityFor(id, stats, env)
-			vec = vec.Add(u.vectorFor(id, stats, env))
-		}
-		bal := partition.EqualCut(cut, balCut)
-		if bal {
-			value = balValue
-		}
-		if value >= graph.InfCapacity && !bal {
+// buildFront turns the priced cuts into the Pareto front in sel.front:
+// it drops candidates priced out by the breaker overlay (any tripped
+// member pushes the scalar value to InfCapacity) and dominated points,
+// pins the balanced point cuts[bal], and sorts the front deterministically
+// (bytes, then latency, then cut). It returns the balanced point's index
+// in the front. All of it runs in sel's reused buffers.
+func buildFront(sel *selection, cuts [][]int32, bal int) int {
+	sel.points = sel.points[:0]
+	for i, cut := range cuts {
+		if sel.values[i] >= graph.InfCapacity && i != bal {
 			continue // contains a tripped PSE; priced out
 		}
-		points = append(points, FrontPoint{Cut: cut, Vec: vec, CutValue: value, Balanced: bal})
+		sel.points = append(sel.points, FrontPoint{
+			Cut: cut, Vec: sel.cutVecs[i], CutValue: sel.values[i], Balanced: i == bal, idx: i,
+		})
 	}
-
-	front := points[:0:0]
-	for i, p := range points {
+	sel.front = sel.front[:0]
+	for i, p := range sel.points {
 		dominated := false
-		for j, q := range points {
+		for j, q := range sel.points {
 			if i != j && q.Vec.Dominates(p.Vec) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated || p.Balanced {
-			front = append(front, p)
+			sel.front = append(sel.front, p)
 		}
 	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].Vec.Bytes != front[j].Vec.Bytes {
-			return front[i].Vec.Bytes < front[j].Vec.Bytes
-		}
-		if front[i].Vec.LatencyMS != front[j].Vec.LatencyMS {
-			return front[i].Vec.LatencyMS < front[j].Vec.LatencyMS
-		}
-		return cutLess(front[i].Cut, front[j].Cut)
-	})
-	balIdx := 0
-	for i := range front {
-		if front[i].Balanced {
-			balIdx = i
-			break
-		}
+	slices.SortFunc(sel.front, compareFront)
+	return slices.IndexFunc(sel.front, func(p FrontPoint) bool { return p.Balanced })
+}
+
+// compareFront orders front points by bytes, then latency, then cut.
+func compareFront(a, b FrontPoint) int {
+	if c := cmp.Compare(a.Vec.Bytes, b.Vec.Bytes); c != 0 {
+		return c
 	}
-	return front, balIdx
+	if c := cmp.Compare(a.Vec.LatencyMS, b.Vec.LatencyMS); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Cut, b.Cut)
 }
 
 // choosePoint picks the front index the policy selects. Ties break through
@@ -190,75 +156,50 @@ func choosePoint(front []FrontPoint, balIdx int, policy SLOPolicy) int {
 	if policy == Balanced || len(front) == 0 {
 		return balIdx
 	}
-	key := func(p FrontPoint) []float64 {
-		v := p.Vec
-		switch policy {
-		case LatencyFirst:
-			return []float64{v.LatencyMS, v.Bytes, v.FailureRate, float64(p.CutValue)}
-		case CostFirst:
-			return []float64{v.Bytes, v.LatencyMS, v.FailureRate, float64(p.CutValue)}
-		case ReceiverWeak:
-			// Receiver energy proxy with the energy model's default
-			// weights: radio nJ/byte and CPU nJ/work-unit.
-			proxy := v.Bytes*250 + v.ReceiverWork*40
-			return []float64{proxy, v.ReceiverWork, v.Bytes, float64(p.CutValue)}
-		default:
-			return []float64{float64(p.CutValue)}
-		}
-	}
 	best := 0
-	bestKey := key(front[0])
+	bestKey := policyKey(front[0], policy)
 	for i := 1; i < len(front); i++ {
-		k := key(front[i])
-		if lessKeys(k, bestKey) || (equalKeys(k, bestKey) && cutLess(front[i].Cut, front[best].Cut)) {
+		k := policyKey(front[i], policy)
+		if lessKeys(k, bestKey) || (k == bestKey && slices.Compare(front[i].Cut, front[best].Cut) < 0) {
 			best, bestKey = i, k
 		}
 	}
 	return best
 }
 
-// policyPrimary is the policy's primary objective for one front point —
-// the scalar the flip-hysteresis margin is applied to. It mirrors the
-// first element of choosePoint's key chain so "beats by the margin" and
-// "is preferred" agree on what matters.
-func policyPrimary(p FrontPoint, policy SLOPolicy) float64 {
+// policyKey is the policy's objective chain for one front point, compared
+// lexicographically.
+func policyKey(p FrontPoint, policy SLOPolicy) [4]float64 {
 	v := p.Vec
 	switch policy {
 	case LatencyFirst:
-		return v.LatencyMS
+		return [4]float64{v.LatencyMS, v.Bytes, v.FailureRate, float64(p.CutValue)}
 	case CostFirst:
-		return v.Bytes
+		return [4]float64{v.Bytes, v.LatencyMS, v.FailureRate, float64(p.CutValue)}
 	case ReceiverWeak:
-		return v.Bytes*250 + v.ReceiverWork*40
+		// Receiver energy proxy with the energy model's default
+		// weights: radio nJ/byte and CPU nJ/work-unit.
+		proxy := v.Bytes*250 + v.ReceiverWork*40
+		return [4]float64{proxy, v.ReceiverWork, v.Bytes, float64(p.CutValue)}
 	default:
-		return float64(p.CutValue)
+		return [4]float64{float64(p.CutValue)}
 	}
 }
 
-func lessKeys(a, b []float64) bool {
+// policyPrimary is the policy's primary objective for one front point —
+// the scalar the flip-hysteresis margin is applied to: the first element
+// of choosePoint's key chain, so "beats by the margin" and "is preferred"
+// agree on what matters.
+func policyPrimary(p FrontPoint, policy SLOPolicy) float64 {
+	return policyKey(p, policy)[0]
+}
+
+// lessKeys orders objective chains lexicographically.
+func lessKeys(a, b [4]float64) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return a[i] < b[i]
 		}
 	}
 	return false
-}
-
-func equalKeys(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// cutLess orders cuts lexicographically, shorter first on shared prefixes.
-func cutLess(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -1,11 +1,15 @@
 // Package reconfig implements the Runtime Reconfiguration Unit (§2.5): it
 // turns profiled PSE statistics into edge capacities under the handler's
-// cost model, runs a max-flow/min-cut over the Unit Graph, and emits the
-// (near-)optimal partitioning plan as a set of split-flag assignments.
+// cost model, takes the min-cut over the handler's precomputed convex cuts
+// (a max-flow over the Unit Graph when that enumeration is truncated), and
+// emits the (near-)optimal partitioning plan as a set of split-flag
+// assignments.
 package reconfig
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"methodpart/internal/costmodel"
@@ -47,7 +51,9 @@ type Unit struct {
 	FlipConfirmations int
 
 	version uint64
-	tripped map[int32]bool
+	// tripped flags, per PSE id, the PSEs whose breaker is open; nil until
+	// the first non-empty SetTripped.
+	tripped []bool
 	// lastCut is the previously chosen cut, for flip accounting; like
 	// version/tripped it relies on caller serialization.
 	lastCut []int32
@@ -66,17 +72,54 @@ type Unit struct {
 	// collectors; feeds methodpart_flips_suppressed_total.
 	flipsSuppressed atomic.Uint64
 
-	// lastExplain is the most recent selection's Explanation. It is the one
+	// work is the buffer the running selection prices into; caller-
+	// serialized. last is the most recent completed selection, the one
 	// piece of Unit state read from other goroutines (debug listeners,
 	// status snapshots) while SelectPlan runs on the endpoint's own
-	// goroutine, hence the atomic pointer where the rest of the Unit relies
-	// on caller serialization.
-	lastExplain atomic.Pointer[Explanation]
+	// goroutine: a selection fills work, then swaps it with last under
+	// lastMu, so a reader never sees a half-written record and the two
+	// buffers are reused with no allocation.
+	work   *selection
+	lastMu sync.Mutex
+	last   *selection
+}
+
+// selection is what one SelectPlan call priced and decided, kept in
+// unit-owned buffers that the next selection but one reuses.
+// LastExplanation materializes an Explanation from it on read.
+type selection struct {
+	version  uint64
+	env      costmodel.Environment
+	policy   SLOPolicy
+	complete bool
+	// caps and vecs are the per-PSE prices (capacity with the breaker
+	// overlay applied, and cost vector), indexed by PSE id; tripped is the
+	// breaker overlay they were priced under.
+	caps     []int64
+	vecs     []costmodel.Vector
+	tripped  []bool
+	profiled int
+	// values and cutVecs are the per-cut sums of caps and vecs over the
+	// priced cut list: the table's cuts, plus the max-flow cut when a
+	// truncated enumeration missed it.
+	values  []int64
+	cutVecs []costmodel.Vector
+	// points are the cuts not priced out by a tripped PSE; front is the
+	// sorted Pareto front taken from them.
+	points []FrontPoint
+	front  []FrontPoint
+	chosen int
+	// suppressed, pendingCut, pendingStreak and flipsSuppressed are the
+	// hysteresis outcome and state after this selection.
+	suppressed      bool
+	pendingCut      []int32
+	pendingStreak   int
+	flipsSuppressed uint64
 }
 
 // Explanation records what one SelectPlan call saw and decided: the
-// capacities the max-flow priced (after the breaker overlay), the cut it
-// chose, and the version it stamped. It exists so an operator can answer
+// capacities it priced (after the breaker overlay), the cut it chose, and
+// the version it stamped. It exists so an operator can answer
 // "why did my plan flip?" from live state instead of re-deriving the
 // min-cut by hand.
 type Explanation struct {
@@ -88,8 +131,8 @@ type Explanation struct {
 	CutValue int64
 	// Tripped lists the PSEs priced out by open circuit breakers (sorted).
 	Tripped []int32
-	// Capacities are the per-PSE edge capacities the max-flow saw, indexed
-	// by PSE id — profiled capacities where statistics existed, static
+	// Capacities are the per-PSE edge capacities the selection priced,
+	// indexed by PSE id — profiled capacities where statistics existed, static
 	// estimates otherwise, graph.InfCapacity (or InfCapacity−1 for the raw
 	// PSE) where tripped.
 	Capacities map[int32]int64
@@ -121,6 +164,11 @@ type Explanation struct {
 	// FlipsSuppressed is the unit's cumulative suppressed-flip count as of
 	// this selection.
 	FlipsSuppressed uint64
+	// Complete reports that the cut enumeration was complete, so the
+	// balanced point is the cheapest enumerated cut; false means the
+	// enumeration stopped at MaxCandidates and a max-flow priced the
+	// balanced point.
+	Complete bool
 }
 
 // NewUnit creates a reconfiguration unit for the handler in the given
@@ -161,19 +209,26 @@ func (u *Unit) FlipsSuppressed() uint64 { return u.flipsSuppressed.Load() }
 // around it instead of re-selecting a split point whose continuations keep
 // failing. Like the rest of the unit, not safe for concurrent use with
 // SelectPlan; callers serialize.
+// Ids outside the handler's PSE table price nothing and are ignored.
 func (u *Unit) SetTripped(ids []int32) {
-	if len(ids) == 0 {
-		u.tripped = nil
-		return
+	if u.tripped == nil {
+		if len(ids) == 0 {
+			return
+		}
+		u.tripped = make([]bool, u.c.NumPSEs())
 	}
-	u.tripped = make(map[int32]bool, len(ids))
+	clear(u.tripped)
 	for _, id := range ids {
-		u.tripped[id] = true
+		if id >= 0 && int(id) < len(u.tripped) {
+			u.tripped[id] = true
+		}
 	}
 }
 
 // Tripped reports whether a PSE is currently excluded from the split set.
-func (u *Unit) Tripped(id int32) bool { return u.tripped[id] }
+func (u *Unit) Tripped(id int32) bool {
+	return id >= 0 && int(id) < len(u.tripped) && u.tripped[id]
+}
 
 // ObserveVersion fast-forwards the unit's version counter to at least v —
 // the version of a plan installed behind the unit's back (e.g. a
@@ -189,56 +244,183 @@ func (u *Unit) ObserveVersion(v uint64) {
 
 // SelectPlan computes the best valid partitioning for the profiled
 // statistics (stats may be nil or partial; unprofiled PSEs fall back to
-// their static estimates). It first runs the scalar max-flow/min-cut under
-// the channel's cost model, then builds the Pareto front of candidate
-// convex cuts and lets the Unit's SLO policy pick the operating point; the
-// Balanced (zero-value) policy takes the scalar min-cut unchanged. It
-// returns both the in-memory plan and its wire form.
+// their static estimates). It prices every PSE once under the channel's
+// cost model and every candidate convex cut of the handler's cached cut
+// table as the sum over its PSEs; the balanced point is the scalar
+// min-cut — the cheapest cut when the enumeration is complete, a
+// max-flow's otherwise. It then builds the Pareto front and lets the
+// Unit's SLO policy pick the operating point; the Balanced (zero-value)
+// policy takes the scalar min-cut unchanged. It returns both the in-memory
+// plan and its wire form. The wire plan's Split and Profile slices are
+// shared with the cut's cached plan template: callers must not modify
+// them.
 func (u *Unit) SelectPlan(stats map[int32]costmodel.Stat) (*partition.Plan, *wire.Plan, error) {
-	env := u.Environment()
-	balCut, balValue, err := u.minCut(stats, env)
-	if err != nil {
-		return nil, nil, err
+	t := u.c.CutTable(u.maxCandidates())
+	sel := u.work
+	if sel == nil {
+		sel = &selection{}
 	}
-	front, balIdx := u.buildFront(stats, env, balCut, balValue)
-	chosen := choosePoint(front, balIdx, u.Policy)
-	cut := front[chosen].Cut
-	if !front[chosen].Balanced {
-		// The enumeration guarantees validity by construction; verify
-		// anyway and fall back to the proven balanced cut rather than
-		// ship a leaking plan if that guarantee is ever broken.
-		if err := u.c.ValidateSplitSet(cut); err != nil {
-			chosen = balIdx
-			cut = balCut
+	sel.env = u.Environment()
+	sel.policy = u.Policy
+	sel.complete = t.Complete
+	u.price(sel, stats)
+	cuts := t.Cuts
+	priceCuts(sel, cuts)
+	var bal int
+	if t.Complete {
+		// Every convex cut is listed, so the min-cut is the cheapest.
+		bal = argmin(sel.values)
+	} else {
+		// A truncated enumeration may miss the min-cut: take it from the
+		// max-flow, pricing it as one more cut when it is not listed.
+		balCut, balValue, err := u.minCut(sel.caps)
+		if err != nil {
+			return nil, nil, err
 		}
+		bal = slices.IndexFunc(cuts, func(c []int32) bool { return partition.EqualCut(c, balCut) })
+		if bal < 0 {
+			// The full slice expression makes append copy rather than
+			// write into the shared table.
+			cuts = append(cuts[:len(cuts):len(cuts)], balCut)
+			bal = len(cuts) - 1
+			sel.values = append(sel.values, 0)
+			sel.cutVecs = append(sel.cutVecs, sumRow(sel.vecs, balCut))
+		}
+		sel.values[bal] = balValue
+	}
+	balIdx := buildFront(sel, cuts, bal)
+	front := sel.front
+	chosen := choosePoint(front, balIdx, u.Policy)
+	if !front[chosen].Balanced && !t.Valid(front[chosen].idx) {
+		// The enumeration guarantees validity by construction; verify
+		// anyway (once per cut) and fall back to the proven balanced cut
+		// rather than ship a leaking plan if that guarantee is ever broken.
+		chosen = balIdx
 	}
 	chosen, suppressed := u.applyHysteresis(front, chosen)
-	cut = front[chosen].Cut
 	front[chosen].Chosen = true
-	if u.hasLast && !partition.EqualCut(u.lastCut, cut) {
+	cp := front[chosen]
+	if u.hasLast && !partition.EqualCut(u.lastCut, cp.Cut) {
 		u.policyFlips.Add(1)
 	}
-	u.lastCut = append(u.lastCut[:0], cut...)
+	u.lastCut = append(u.lastCut[:0], cp.Cut...)
 	u.hasLast = true
 	u.version++
-	u.lastExplain.Store(u.explain(cut, front[chosen].CutValue, stats, env, front, chosen, suppressed))
-	var profile []int32
-	if u.ProfileAll {
-		profile = partition.AllProfileIDs(u.c)
+
+	sel.version = u.version
+	sel.chosen = chosen
+	sel.suppressed = suppressed
+	sel.pendingCut = append(sel.pendingCut[:0], u.pendingCut...)
+	sel.pendingStreak = u.pendingStreak
+	sel.flipsSuppressed = u.flipsSuppressed.Load()
+	u.lastMu.Lock()
+	u.work, u.last = u.last, sel
+	u.lastMu.Unlock()
+
+	var tmpl *partition.Plan
+	var err error
+	if cp.idx < len(t.Cuts) {
+		tmpl, err = t.Plan(cp.idx, u.ProfileAll)
 	} else {
-		profile = cut
+		profile := cp.Cut
+		if u.ProfileAll {
+			profile = partition.AllProfileIDs(u.c)
+		}
+		tmpl, err = partition.NewPlan(u.c.NumPSEs(), 0, cp.Cut, profile)
 	}
-	plan, err := partition.NewPlan(u.c.NumPSEs(), u.version, cut, profile)
 	if err != nil {
 		return nil, nil, err
 	}
+	plan := tmpl.WithVersion(u.version)
 	wp := &wire.Plan{
 		Handler: u.c.Prog.Name,
 		Version: u.version,
-		Split:   plan.SplitIDs(),
-		Profile: plan.ProfileIDs(),
+		Split:   tmpl.SplitIDs(),
+		Profile: tmpl.ProfileIDs(),
 	}
 	return plan, wp, nil
+}
+
+func (u *Unit) maxCandidates() int {
+	if u.MaxCandidates <= 0 {
+		return DefaultMaxCandidates
+	}
+	return u.MaxCandidates
+}
+
+// price writes every PSE's capacity (breaker overlay applied) and cost
+// vector into sel, reusing its buffers.
+func (u *Unit) price(sel *selection, stats map[int32]costmodel.Stat) {
+	n := u.c.NumPSEs()
+	sel.caps = slices.Grow(sel.caps[:0], n)[:n]
+	sel.vecs = slices.Grow(sel.vecs[:0], n)[:n]
+	sel.tripped = slices.Grow(sel.tripped[:0], n)[:n]
+	sel.profiled = 0
+	for i := range sel.caps {
+		id := int32(i)
+		pse := &u.c.PSEs[i]
+		if st, ok := stats[id]; ok && st.Count > 0 {
+			sel.caps[i] = u.c.Model.Capacity(st, sel.env)
+			sel.vecs[i] = costmodel.PSEVector(st, sel.env)
+			sel.profiled++
+		} else {
+			sel.caps[i] = u.c.Model.StaticCapacity(pse.Static)
+			sel.vecs[i] = costmodel.StaticVector(pse.Static, sel.env)
+		}
+		sel.tripped[i] = u.Tripped(id)
+		if sel.tripped[i] {
+			sel.caps[i] = trippedCapacity(id)
+		}
+	}
+}
+
+// trippedCapacity is the breaker overlay: a tripped PSE's edge is
+// saturated to infinite capacity so the min-cut never cuts it. The raw PSE
+// is special — it is the degradation floor, so when even raw is tripped it
+// gets InfCapacity−1: still astronomically expensive (any healthy split
+// wins) but keeping the finite-cut invariant that makes "worst case: ship
+// raw" always selectable.
+func trippedCapacity(id int32) int64 {
+	if id == partition.RawPSEID {
+		return graph.InfCapacity - 1
+	}
+	return graph.InfCapacity
+}
+
+// priceCuts sums the per-PSE prices over each cut into sel.values and
+// sel.cutVecs.
+func priceCuts(sel *selection, cuts [][]int32) {
+	sel.values = sel.values[:0]
+	sel.cutVecs = sel.cutVecs[:0]
+	for _, cut := range cuts {
+		var value int64
+		for _, id := range cut {
+			value += sel.caps[id]
+		}
+		sel.values = append(sel.values, value)
+		sel.cutVecs = append(sel.cutVecs, sumRow(sel.vecs, cut))
+	}
+}
+
+// sumRow is a cut's cost vector: the sum of its PSEs' vectors, added in
+// cut order.
+func sumRow(vecs []costmodel.Vector, cut []int32) costmodel.Vector {
+	var vec costmodel.Vector
+	for _, id := range cut {
+		vec = vec.Add(vecs[id])
+	}
+	return vec
+}
+
+// argmin returns the index of the smallest value, the first on ties.
+func argmin(values []int64) int {
+	best := 0
+	for i, v := range values {
+		if v < values[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // DefaultFlipConfirmations is how many consecutive margin-beating
@@ -302,43 +484,43 @@ func (u *Unit) applyHysteresis(front []FrontPoint, chosen int) (int, bool) {
 	return incumbent, true
 }
 
-// explain materialises the Explanation for a completed selection. Called
-// after u.version is advanced, so the explanation carries the stamped
-// version.
-func (u *Unit) explain(cut []int32, value int64, stats map[int32]costmodel.Stat, env costmodel.Environment, front []FrontPoint, chosen int, suppressed bool) *Explanation {
-	ex := &Explanation{
-		Version:         u.version,
-		Cut:             append([]int32(nil), cut...),
-		CutValue:        value,
-		Capacities:      make(map[int32]int64, u.c.NumPSEs()),
-		Policy:          u.Policy,
-		Front:           front,
-		Chosen:          chosen,
-		Env:             env,
-		Suppressed:      suppressed,
-		PendingCut:      append([]int32(nil), u.pendingCut...),
-		PendingStreak:   u.pendingStreak,
-		FlipsSuppressed: u.flipsSuppressed.Load(),
-	}
-	for id := int32(0); int(id) < u.c.NumPSEs(); id++ {
-		ex.Capacities[id] = u.capacityFor(id, stats, env)
-		if st, ok := stats[id]; ok && st.Count > 0 {
-			ex.Profiled++
-		}
-		if u.tripped[id] {
-			ex.Tripped = append(ex.Tripped, id)
-		}
-	}
-	ex.Tripped = partition.SortedIDs(ex.Tripped)
-	return ex
-}
-
 // LastExplanation returns the most recent selection's Explanation, or nil
 // before the first SelectPlan. Unlike the rest of the Unit it is safe to
-// call from any goroutine; the returned value is a snapshot the caller
-// must not mutate.
+// call from any goroutine. Each call builds a fresh snapshot from the
+// recorded selection, so the cost of explaining falls on the reader and
+// not on SelectPlan; front cuts may alias the handler's shared cut table
+// and must not be modified.
 func (u *Unit) LastExplanation() *Explanation {
-	return u.lastExplain.Load()
+	u.lastMu.Lock()
+	defer u.lastMu.Unlock()
+	sel := u.last
+	if sel == nil {
+		return nil
+	}
+	cp := sel.front[sel.chosen]
+	ex := &Explanation{
+		Version:         sel.version,
+		Cut:             append([]int32(nil), cp.Cut...),
+		CutValue:        cp.CutValue,
+		Capacities:      make(map[int32]int64, len(sel.caps)),
+		Profiled:        sel.profiled,
+		Policy:          sel.policy,
+		Front:           append([]FrontPoint(nil), sel.front...),
+		Chosen:          sel.chosen,
+		Env:             sel.env,
+		Suppressed:      sel.suppressed,
+		PendingCut:      append([]int32(nil), sel.pendingCut...),
+		PendingStreak:   sel.pendingStreak,
+		FlipsSuppressed: sel.flipsSuppressed,
+		Complete:        sel.complete,
+	}
+	for id, c := range sel.caps {
+		ex.Capacities[int32(id)] = c
+		if sel.tripped[id] {
+			ex.Tripped = append(ex.Tripped, int32(id))
+		}
+	}
+	return ex
 }
 
 // InitialPlan selects a plan purely from static cost estimates, for use
@@ -364,26 +546,13 @@ func (u *Unit) capacity(id int32, stats map[int32]costmodel.Stat, env costmodel.
 	return u.c.Model.StaticCapacity(pse.Static)
 }
 
-// capacityFor is capacity with the breaker overlay applied: a tripped PSE's
-// edge is saturated to infinite capacity so the max-flow never cuts it. The
-// raw PSE is special — it is the degradation floor, so when even raw is
-// tripped it gets InfCapacity−1: still astronomically expensive (any healthy
-// split wins) but keeping the finite-cut invariant that makes "worst case:
-// ship raw" always selectable.
-func (u *Unit) capacityFor(id int32, stats map[int32]costmodel.Stat, env costmodel.Environment) int64 {
-	if u.tripped[id] {
-		if id == partition.RawPSEID {
-			return graph.InfCapacity - 1
-		}
-		return graph.InfCapacity
-	}
-	return u.capacity(id, stats, env)
-}
-
-// minCut builds the flow network and extracts the minimal cut restricted to
-// PSE edges. The synthetic raw PSE is the source's only outgoing edge, so a
-// finite cut always exists (worst case: ship raw events).
-func (u *Unit) minCut(stats map[int32]costmodel.Stat, env costmodel.Environment) ([]int32, int64, error) {
+// minCut builds the flow network over the priced capacities (indexed by
+// PSE id) and extracts the minimal cut restricted to PSE edges. The
+// synthetic raw PSE is the source's only outgoing edge, so a finite cut
+// always exists (worst case: ship raw events). Selection needs it only
+// when the cut enumeration is truncated; it also serves as the test
+// oracle for the enumerated balanced point.
+func (u *Unit) minCut(caps []int64) ([]int32, int64, error) {
 	ug := u.c.Analysis.UG
 	n := ug.Exit + 1
 	source := n
@@ -391,14 +560,14 @@ func (u *Unit) minCut(stats map[int32]costmodel.Stat, env costmodel.Environment)
 	fn := graph.NewFlowNetwork(n + 2)
 
 	// Raw PSE: source → start node.
-	if err := fn.AddEdge(source, ug.Start, u.capacityFor(partition.RawPSEID, stats, env), int(partition.RawPSEID)); err != nil {
+	if err := fn.AddEdge(source, ug.Start, caps[partition.RawPSEID], int(partition.RawPSEID)); err != nil {
 		return nil, 0, err
 	}
 	// UG edges: PSEs get their profiled/static capacity, everything else
 	// is uncuttable.
 	for _, e := range ug.Edges() {
 		if id, ok := u.c.PSEByEdge(e); ok {
-			if err := fn.AddEdge(e.From, e.To, u.capacityFor(id, stats, env), int(id)); err != nil {
+			if err := fn.AddEdge(e.From, e.To, caps[id], int(id)); err != nil {
 				return nil, 0, err
 			}
 			continue
