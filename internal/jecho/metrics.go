@@ -99,26 +99,23 @@ type ChannelMetrics struct {
 	// AcksReceived counts cumulative delivery acks from the peer
 	// (publisher side).
 	AcksReceived uint64
-	// RetransmitRequestsSent counts gap-repair requests pushed upstream
-	// (subscriber side).
-	RetransmitRequestsSent uint64
-	// RetransmitRequestsReceived counts gap-repair requests from peers
-	// (publisher side).
-	RetransmitRequestsReceived uint64
-	// Replayed counts event frames re-enqueued from the replay ring —
-	// retransmissions and reconnect resumes (publisher side).
+	// Replayed counts event frames re-enqueued from the replay ring when
+	// a subscriber resumed after a reconnect (publisher side).
 	Replayed uint64
 	// RingEvictions counts unacked frames the replay ring evicted to stay
-	// inside its byte budget; each is a potential future DataLoss.
+	// inside its byte budget. An evicted frame was already sent, so it
+	// costs nothing unless the link is cut before the subscriber acks it;
+	// the resume then declares it lost.
 	RingEvictions uint64
 	// DuplicatesDropped counts sequenced events the subscriber's dedup
-	// absorbed before the handler saw them (replay overshoot, ack races).
+	// absorbed before the handler saw them.
 	DuplicatesDropped uint64
-	// DataLoss counts sequenced events declared unrecoverable: the
-	// publisher's ring evicted them before the gap could be repaired
-	// (subscriber counts genuinely-missing events on Lost notices; the
-	// publisher counts the events of the Lost ranges it declares). Loss is
-	// loud and exact — never silent.
+	// DataLoss counts sequenced events declared unrecoverable: seqs the
+	// publisher skipped on a connection (an overflow eviction under
+	// DropOldest, or a resume reaching past what the ring kept). The
+	// subscriber counts genuinely-missing events on Lost notices; the
+	// publisher counts each declared seq once. Loss is loud and exact —
+	// never silent.
 	DataLoss uint64
 	// AcksClamped counts inbound cumulative acks claiming a seq beyond
 	// anything ever staged (publisher side). Each is a corrupt or
@@ -174,8 +171,6 @@ type channelMetrics struct {
 	breakerTrips      atomic.Uint64
 	acksSent          atomic.Uint64
 	acksRecv          atomic.Uint64
-	retransReqSent    atomic.Uint64
-	retransReqRecv    atomic.Uint64
 	replayed          atomic.Uint64
 	ringEvictions     atomic.Uint64
 	duplicatesDropped atomic.Uint64
@@ -250,17 +245,15 @@ func (m *channelMetrics) load() ChannelMetrics {
 		DeadLettered:       m.deadLettered.Load(),
 		BreakerTrips:       m.breakerTrips.Load(),
 
-		AcksSent:                   m.acksSent.Load(),
-		AcksReceived:               m.acksRecv.Load(),
-		RetransmitRequestsSent:     m.retransReqSent.Load(),
-		RetransmitRequestsReceived: m.retransReqRecv.Load(),
-		Replayed:                   m.replayed.Load(),
-		RingEvictions:              m.ringEvictions.Load(),
-		DuplicatesDropped:          m.duplicatesDropped.Load(),
-		DataLoss:                   m.dataLoss.Load(),
-		AcksClamped:                m.acksClamped.Load(),
-		StreamResets:               m.streamResets.Load(),
-		DeadLettersRedelivered:     m.dlRedelivered.Load(),
-		DeadLettersRequarantined:   m.dlRequarantined.Load(),
+		AcksSent:                 m.acksSent.Load(),
+		AcksReceived:             m.acksRecv.Load(),
+		Replayed:                 m.replayed.Load(),
+		RingEvictions:            m.ringEvictions.Load(),
+		DuplicatesDropped:        m.duplicatesDropped.Load(),
+		DataLoss:                 m.dataLoss.Load(),
+		AcksClamped:              m.acksClamped.Load(),
+		StreamResets:             m.streamResets.Load(),
+		DeadLettersRedelivered:   m.dlRedelivered.Load(),
+		DeadLettersRequarantined: m.dlRequarantined.Load(),
 	}
 }

@@ -292,12 +292,10 @@ var channelCounterDefs = []struct {
 	{"methodpart_channel_breaker_trips_total", "Circuit-breaker transitions to open.", func(m ChannelMetrics) uint64 { return m.BreakerTrips }},
 	{"methodpart_channel_acks_sent_total", "Cumulative delivery acks written (standalone and heartbeat-piggybacked).", func(m ChannelMetrics) uint64 { return m.AcksSent }},
 	{"methodpart_channel_acks_received_total", "Cumulative delivery acks received from the peer.", func(m ChannelMetrics) uint64 { return m.AcksReceived }},
-	{"methodpart_channel_retransmit_requests_sent_total", "Gap-repair retransmit requests pushed upstream.", func(m ChannelMetrics) uint64 { return m.RetransmitRequestsSent }},
-	{"methodpart_channel_retransmit_requests_received_total", "Gap-repair retransmit requests received from peers.", func(m ChannelMetrics) uint64 { return m.RetransmitRequestsReceived }},
-	{"methodpart_replayed_total", "Event frames re-sent from the replay ring (retransmissions and reconnect resumes).", func(m ChannelMetrics) uint64 { return m.Replayed }},
-	{"methodpart_channel_ring_evictions_total", "Unacked frames evicted from the replay ring to hold its byte budget.", func(m ChannelMetrics) uint64 { return m.RingEvictions }},
+	{"methodpart_replayed_total", "Event frames re-sent from the replay ring on reconnect resumes.", func(m ChannelMetrics) uint64 { return m.Replayed }},
+	{"methodpart_channel_ring_evictions_total", "Sent but unacked frames evicted from the replay ring to hold its byte budget; lost only if the link is cut before the ack.", func(m ChannelMetrics) uint64 { return m.RingEvictions }},
 	{"methodpart_channel_duplicates_dropped_total", "Sequenced events absorbed by subscriber-side dedup before the handler.", func(m ChannelMetrics) uint64 { return m.DuplicatesDropped }},
-	{"methodpart_data_loss_total", "Sequenced events declared unrecoverable — loud, exact, never silent.", func(m ChannelMetrics) uint64 { return m.DataLoss }},
+	{"methodpart_data_loss_total", "Sequenced events a connection skipped and declared Lost in order — loud, exact, never silent.", func(m ChannelMetrics) uint64 { return m.DataLoss }},
 	{"methodpart_channel_acks_clamped_total", "Inbound acks claiming a seq beyond anything staged, clamped instead of releasing unsent entries.", func(m ChannelMetrics) uint64 { return m.AcksClamped }},
 	{"methodpart_channel_stream_resets_total", "Delivery-stream restarts observed via a changed StreamStart epoch; dedup state was discarded.", func(m ChannelMetrics) uint64 { return m.StreamResets }},
 	{"methodpart_channel_dead_letters_redelivered_total", "Quarantined messages successfully re-demodulated by RedeliverDeadLetters.", func(m ChannelMetrics) uint64 { return m.DeadLettersRedelivered }},

@@ -95,6 +95,13 @@ type sendPipeline struct {
 	// carrying the queued delivery sequence (AtLeastOnce subscriptions
 	// only). Best-effort pipelines never touch the envelope path.
 	reliable bool
+	// lastSeq is the last delivery seq this connection wrote or declared
+	// Lost (sender goroutine only once run starts): the resume point, or 0
+	// on a fresh stream. A queued frame above lastSeq+1 makes the sender
+	// declare the seqs between Lost first, so the peer sees every seq in
+	// order. lostFn, when set, accounts for each declaration.
+	lastSeq uint64
+	lostFn  func(from, to uint64)
 
 	// Sender-goroutine only: heartbeat sequence plus the reusable buffers
 	// of the batching path. The transports copy on WriteFrame, so the
@@ -107,9 +114,9 @@ type sendPipeline struct {
 	frames   []queuedFrame
 	entries  [][]byte
 
-	// ctrl carries small marshalled control frames (Lost notices) that
-	// must reach the peer through the sender goroutine but are neither
-	// events nor feedback.
+	// ctrl carries small marshalled control frames (heartbeat echo
+	// replies) that must reach the peer through the sender goroutine but
+	// are neither events nor feedback.
 	ctrl chan []byte
 
 	stop     chan struct{} // closed by shutdown: unblocks enqueuers + sender
@@ -238,15 +245,18 @@ func (p *sendPipeline) enqueue(q queuedFrame) error {
 	return nil
 }
 
-// enqueueControl hands a small marshalled control frame (e.g. a Lost
-// notice) to the sender goroutine. The caller yields ownership of data; it
-// blocks only while the control lane itself is full.
-func (p *sendPipeline) enqueueControl(data []byte) error {
+// enqueueControl offers a small marshalled control frame (a heartbeat
+// echo reply) to the sender goroutine; the caller yields ownership of data.
+// It never blocks: the control read loop calls it, and a sender stalled on
+// a slow peer must not stop that loop from reading the peer's acks — or
+// the peer, unable to write them, stalls too. A frame that finds the lane
+// full is dropped and reported false: its probe simply goes unanswered.
+func (p *sendPipeline) enqueueControl(data []byte) bool {
 	select {
 	case p.ctrl <- data:
-		return nil
-	case <-p.stop:
-		return errRetired
+		return true
+	default:
+		return false
 	}
 }
 
@@ -383,21 +393,54 @@ func (p *sendPipeline) eventBytes(q queuedFrame) []byte {
 // sendEvents ships the first queued frame and, when batching is on,
 // whatever else the queue holds (plus a BatchDelay linger) up to
 // BatchBytes, as one batch wire frame. A single frame goes out unwrapped,
-// so a peer on a quiet channel never pays the batch header.
+// so a peer on a quiet channel never pays the batch header. On a reliable
+// pipeline a batch is cut wherever the sequence jumps, and the skipped
+// seqs are declared Lost before the frame after the jump.
 func (p *sendPipeline) sendEvents(first queuedFrame) bool {
-	if p.batch.Bytes <= 0 {
-		ok := p.write(p.eventBytes(first), false)
-		first.f.Release()
-		if !ok {
-			p.metrics.dropped.Add(1)
-			return false
-		}
-		p.metrics.eventsSent.Add(1)
-		return true
-	}
 	p.frames = append(p.frames[:0], first)
-	total := first.f.Len()
-	// Take what the queue already holds without waiting.
+	if p.batch.Bytes > 0 {
+		p.collectBatch(first.f.Len())
+	}
+	sent := 0
+	ok := true
+	for sent < len(p.frames) && ok {
+		run := p.frames[sent:]
+		if p.reliable {
+			n := 1
+			for n < len(run) && run[n].seq == run[n-1].seq+1 {
+				n++
+			}
+			run = run[:n]
+			if gapFrom := p.lastSeq + 1; run[0].seq > gapFrom {
+				ok = p.declareSkip(gapFrom, run[0].seq-1)
+			}
+		}
+		if ok {
+			ok = p.writeRun(run)
+		}
+		if ok {
+			sent += len(run)
+		}
+	}
+	// The transport copied the bytes (or the write failed); either way the
+	// references are consumed here. Clear the scratch so the pooled frames
+	// are not pinned until the next batch.
+	for i, q := range p.frames {
+		q.f.Release()
+		p.frames[i] = queuedFrame{}
+	}
+	if !ok {
+		// The write failed with the frames already dequeued: they were
+		// enqueued but will never be sent, so they are dropped.
+		p.metrics.dropped.Add(uint64(len(p.frames) - sent))
+	}
+	p.frames = p.frames[:0]
+	return ok
+}
+
+// collectBatch appends to p.frames what the queue already holds and, with
+// a BatchDelay, what arrives within it, up to BatchBytes in all.
+func (p *sendPipeline) collectBatch(total int) {
 fill:
 	for total < p.batch.Bytes {
 		select {
@@ -410,75 +453,89 @@ fill:
 	}
 	// Linger for stragglers: a publisher in mid-burst refills the queue
 	// within the delay window, so the batch amortizes more frames.
-	if p.batch.Delay > 0 && total < p.batch.Bytes {
-		timer := time.NewTimer(p.batch.Delay)
-	linger:
-		for total < p.batch.Bytes {
-			select {
-			case q := <-p.queue:
-				p.frames = append(p.frames, q)
-				total += q.f.Len()
-			case <-timer.C:
-				break linger
-			case <-p.stop:
-				// Ship what was collected; these frames are in flight,
-				// not abandoned. The drain handles the rest of the queue.
-				break linger
-			}
-		}
-		timer.Stop()
+	if p.batch.Delay <= 0 || total >= p.batch.Bytes {
+		return
 	}
-	n := len(p.frames)
-	var ok bool
-	if n == 1 {
-		ok = p.write(p.eventBytes(p.frames[0]), false)
+	timer := time.NewTimer(p.batch.Delay)
+	defer timer.Stop()
+	for total < p.batch.Bytes {
+		select {
+		case q := <-p.queue:
+			p.frames = append(p.frames, q)
+			total += q.f.Len()
+		case <-timer.C:
+			return
+		case <-p.stop:
+			// Ship what was collected; these frames are in flight, not
+			// abandoned. The drain handles the rest of the queue.
+			return
+		}
+	}
+}
+
+// writeRun writes consecutive queued frames: one alone goes out as its own
+// frame, more as one batch frame.
+func (p *sendPipeline) writeRun(run []queuedFrame) bool {
+	total := 0
+	for _, q := range run {
+		total += q.f.Len()
+	}
+	var data []byte
+	if len(run) == 1 {
+		data = p.eventBytes(run[0])
 	} else {
 		p.entries = p.entries[:0]
 		if p.reliable {
 			// Batch entries must each carry their own envelope. Build them
 			// contiguously in one pre-sized buffer so the entry subslices
 			// stay valid while AppendBatch copies them out.
-			need := 0
-			for _, q := range p.frames {
-				need += wire.SeqEventOverhead + q.f.Len()
-			}
+			need := len(run)*wire.SeqEventOverhead + total
 			if cap(p.wrapBuf) < need {
 				p.wrapBuf = make([]byte, 0, need)
 			}
 			p.wrapBuf = p.wrapBuf[:0]
-			for _, q := range p.frames {
+			for _, q := range run {
 				start := len(p.wrapBuf)
 				p.wrapBuf = wire.AppendSeqEvent(p.wrapBuf, q.seq, q.f.Bytes())
 				p.entries = append(p.entries, p.wrapBuf[start:len(p.wrapBuf):len(p.wrapBuf)])
 			}
 		} else {
-			for _, q := range p.frames {
+			for _, q := range run {
 				p.entries = append(p.entries, q.f.Bytes())
 			}
 		}
 		p.batchBuf = wire.AppendBatch(p.batchBuf[:0], p.entries)
-		ok = p.write(p.batchBuf, false)
+		data = p.batchBuf
 	}
-	// The transport copied the bytes (or the write failed); either way the
-	// references are consumed here. Clear the scratch so the pooled frames
-	// are not pinned until the next batch.
-	for i, q := range p.frames {
-		q.f.Release()
-		p.frames[i] = queuedFrame{}
-	}
-	p.frames = p.frames[:0]
-	if !ok {
-		// The write failed with the frames already dequeued: they were
-		// enqueued but will never be sent, so they are dropped.
-		p.metrics.dropped.Add(uint64(n))
+	if !p.write(data, false) {
 		return false
 	}
+	p.lastSeq = run[len(run)-1].seq
+	n := len(run)
 	p.metrics.eventsSent.Add(uint64(n))
 	if n > 1 {
 		p.metrics.batchesSent.Add(1)
 		p.metrics.batchedEvents.Add(uint64(n))
 	}
 	p.batch.hists.observe(n, total, p.batch.Bytes)
+	return true
+}
+
+// declareSkip writes the Lost notice for [from, to], the seqs this
+// connection skipped, ahead of the frame after them, then reports the
+// declaration to lostFn for accounting.
+func (p *sendPipeline) declareSkip(from, to uint64) bool {
+	data, err := wire.Marshal(&wire.Lost{From: from, To: to})
+	if err != nil {
+		return true // cannot happen; never kill the sender for it
+	}
+	if !p.write(data, true) {
+		return false
+	}
+	p.lastSeq = to
+	if p.lostFn != nil {
+		p.lostFn(from, to)
+	}
 	return true
 }
 

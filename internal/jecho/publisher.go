@@ -56,14 +56,15 @@ type PublisherConfig struct {
 	// Only meaningful with BatchBytes > 0.
 	BatchDelay time.Duration
 	// ReplayRingBytes bounds the per-subscription replay ring backing
-	// at-least-once delivery: sent frames stay retained
-	// until the subscriber's cumulative ack, up to this many payload
-	// bytes; beyond it the oldest unacked frames are evicted (counted as
-	// RingEvictions, surfacing later as DataLoss if the subscriber needed
-	// them). 0 = DefaultReplayRingBytes; negative disables retention —
-	// events are still sequenced and loss still detected, but nothing can
-	// be replayed. Only subscriptions requesting AtLeastOnce pay any of
-	// this; best-effort subscriptions never touch the ring.
+	// at-least-once delivery: sent frames stay retained until the
+	// subscriber's cumulative ack, up to this many payload bytes, so a
+	// reconnect can resume. Beyond it the oldest unacked frames are evicted
+	// (counted as RingEvictions; they become DataLoss only if the link is
+	// cut before the subscriber acks them). 0 = DefaultReplayRingBytes;
+	// negative disables retention — events are still sequenced and loss
+	// still declared, but nothing can be replayed. Only subscriptions
+	// requesting AtLeastOnce pay any of this; best-effort subscriptions
+	// never touch the ring.
 	ReplayRingBytes int
 	// HeartbeatInterval is the idle-liveness probe period per
 	// subscription (0 = DefaultHeartbeatInterval, <0 disables
@@ -690,7 +691,14 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			p.cfg.Logf("jecho publisher: sub %s send: %v; retiring", sub.id, err)
 			p.retire(sub)
 		})
-	sub.pipe.reliable = reliable
+	if reliable {
+		sub.pipe.reliable = true
+		// The resume point is the last seq this connection counts as
+		// delivered; the sender declares the seqs between it and the first
+		// frame it writes Lost.
+		sub.pipe.lastSeq = sub.rel.resumeFrom(subMsg.ResumeSeq, subMsg.ResumeEpoch)
+		sub.pipe.lostFn = func(from, to uint64) { p.countLost(sub, from, to) }
+	}
 	if sub.link != nil {
 		// Idle heartbeats double as RTT probes: the subscriber echoes
 		// their Seq back through the control loop.
@@ -710,6 +718,11 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	p.nextID++
 	sub.id = fmt.Sprintf("%s#%d", subMsg.Subscriber, p.nextID)
 	p.reg.insert(sub)
+	if sub.rel != nil {
+		// Hold the stream from the class join until the resume replay is
+		// queued, so no new publish can stage ahead of the replay.
+		sub.rel.enqMu.Lock()
+	}
 	p.classes.mu.Lock()
 	p.joinClassLocked(sub, initialPlan, nil)
 	p.classes.rebuildLocked()
@@ -727,13 +740,17 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	}()
 
 	if sub.rel != nil {
-		// Resume: the handshake's last-contiguous seq acts as an ack, and
-		// everything staged beyond it replays (or is declared Lost where
-		// the ring evicted it). New publishes may already be interleaving;
-		// the sequence numbers disambiguate on the subscriber side. A
-		// resume point from a different epoch is ignored — the state is a
-		// fresh stream and the subscriber resets on its StreamStart.
-		p.deliverReplay(sub, sub.rel.resume(subMsg.ResumeSeq, subMsg.ResumeEpoch))
+		// Resume: the unacked tail above the resume point replays, carrying
+		// its original seqs; the sender declares Lost what the ring evicted.
+		// Replayed frames ship as originally modulated; continuations are
+		// self-describing (PSEID, resume node, saved vars), so a plan flip
+		// since then cannot desynchronise the demodulator.
+		from, to := sub.rel.replayLocked(sub.pipe, sub.pipe.lastSeq)
+		sub.rel.enqMu.Unlock()
+		if to != 0 {
+			sub.metrics.replayed.Add(to - from + 1)
+			traceReplay(p.cfg.Tracer, sub.channel, sub.id, from, to)
+		}
 	}
 
 	// Serve inbound control messages (plans, heartbeats) until the peer
@@ -787,11 +804,6 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		case *wire.Ack:
 			metrics.acksRecv.Add(1)
 			p.handleAck(sub, m.Seq)
-		case *wire.Retransmit:
-			metrics.retransReqRecv.Add(1)
-			if sub.rel != nil {
-				p.deliverReplay(sub, sub.rel.replayRange(m.From, m.To))
-			}
 		case *wire.Nack:
 			metrics.nacksRecv.Add(1)
 			p.cfg.Tracer.Emit(obsv.Event{
@@ -867,10 +879,9 @@ func (p *Publisher) echoHeartbeat(s *subscription, seq uint64) {
 	if err != nil {
 		return
 	}
-	if err := s.pipe.enqueueControl(data); err != nil {
-		return
+	if s.pipe.enqueueControl(data) {
+		s.metrics.heartbeatsSent.Add(1)
 	}
-	s.metrics.heartbeatsSent.Add(1)
 }
 
 // applyWirePlan validates a subscriber-pushed plan and migrates the
@@ -908,60 +919,24 @@ func (p *Publisher) applyWirePlan(s *subscription, wp *wire.Plan) error {
 	return nil
 }
 
-// handleAck applies a cumulative delivery ack: ring entries release, and
-// when the idle-replay heuristic decides the stream's tail went missing
-// (repeated identical acks, nothing staged since, unacked frames
-// outstanding, backoff elapsed), the tail replays. An ack beyond anything
-// staged is corrupt; it is clamped and counted.
+// handleAck applies a cumulative delivery ack: ring entries release. An
+// ack beyond anything staged is corrupt; it is clamped and counted.
 func (p *Publisher) handleAck(s *subscription, seq uint64) {
 	if s.rel == nil {
 		return
 	}
-	_, clamped, rep, replay := s.rel.onAck(seq)
-	if clamped {
+	if _, clamped := s.rel.onAck(seq); clamped {
 		s.metrics.acksClamped.Add(1)
-	}
-	if replay {
-		p.deliverReplay(s, rep)
 	}
 }
 
-// deliverReplay ships one replay outcome to the subscriber: the evicted
-// prefix leaves as a Lost notice on the control lane (loss is declared,
-// never silent) and counts toward DataLoss only where no earlier replay
-// declared it, the retained frames re-enter the send queue carrying
-// their original sequence numbers — the subscriber's dedup absorbs any
-// overshoot. Replayed frames ship as originally modulated; continuations
-// are self-describing (PSEID, resume node, saved vars), so a plan flip
-// landing mid-replay cannot desynchronise the demodulator.
-func (p *Publisher) deliverReplay(s *subscription, rep replaySet) {
-	if rep.lostTo != 0 {
-		s.metrics.dataLoss.Add(rep.lostNew)
-		traceDataLoss(p.cfg.Tracer, s.channel, s.id, rep.lostFrom, rep.lostTo)
-		p.cfg.Logf("jecho publisher: sub %s: ring evicted seqs %d..%d before repair; declaring them lost (%d not declared before)",
-			s.id, rep.lostFrom, rep.lostTo, rep.lostNew)
-		if data, err := wire.Marshal(&wire.Lost{From: rep.lostFrom, To: rep.lostTo}); err == nil {
-			_ = s.pipe.enqueueControl(data) // retired pipe: the resume on reconnect re-declares
-		}
-	}
-	if len(rep.frames) == 0 {
-		return
-	}
-	traceReplay(p.cfg.Tracer, s.channel, s.id, rep.frames[0].seq, rep.frames[len(rep.frames)-1].seq)
-	retired := false
-	for _, q := range rep.frames {
-		if retired {
-			q.f.Release()
-			continue
-		}
-		if err := s.pipe.enqueue(q); err != nil {
-			// enqueue consumed this frame's reference; drop the rest. The
-			// ring still holds everything for the next resume.
-			retired = true
-			continue
-		}
-		s.metrics.replayed.Add(1)
-	}
+// countLost accounts for a Lost notice s's sender wrote: the seqs no
+// earlier notice declared count toward DataLoss, and the declaration is
+// traced. The subscriber logs the loss; under DropOldest a publisher log
+// line per skip would flood.
+func (p *Publisher) countLost(s *subscription, from, to uint64) {
+	s.metrics.dataLoss.Add(s.rel.declareLost(from, to))
+	traceDataLoss(p.cfg.Tracer, s.channel, s.id, from, to)
 }
 
 // blockedSplit returns the first PSE in the split set whose breaker is

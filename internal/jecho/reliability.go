@@ -19,11 +19,13 @@ const (
 	BestEffort Reliability = iota
 	// AtLeastOnce sequences every event per subscription, retains sent
 	// frames in a byte-budgeted publisher-side replay ring until the
-	// subscriber's cumulative ack releases them, repairs gaps by
-	// retransmission, and resumes mid-stream across reconnects. Events the
-	// ring evicted before repair are declared Lost and counted as DataLoss —
-	// loss is loud, never silent. Duplicates from replay are absorbed by
-	// subscriber-side dedup before the handler sees them.
+	// subscriber's cumulative ack releases them, and resumes mid-stream
+	// across reconnects by replaying the unacked tail. A live connection is
+	// an ordered stream: every seq it skips (an overflow eviction, or a
+	// resume reaching past what the ring kept) is declared Lost in order and
+	// counted as DataLoss — loss is loud, never silent. A seq arriving
+	// beyond the next expected one means the link is broken: the subscriber
+	// closes it and resumes.
 	AtLeastOnce
 )
 
@@ -98,26 +100,17 @@ type ringEntry struct {
 	bytes int
 }
 
-// replaySet is the outcome of a replay request: ring frames to re-send
-// (each carrying one retained reference for the caller) and, when the ring
-// evicted past the requested range, the unrecoverable prefix to declare
-// Lost.
-type replaySet struct {
-	frames []queuedFrame
-	// lostFrom/lostTo is the evicted prefix, inclusive; lostTo == 0 means
-	// nothing was lost.
-	lostFrom, lostTo uint64
-	// lostNew counts the seqs of [lostFrom, lostTo] no earlier replay
-	// declared lost: the share the publisher adds to DataLoss. The Lost
-	// notice still carries the whole range, which a resume may need again.
-	lostNew uint64
-}
-
 // relState is the publisher-side half of one at-least-once stream: the
 // per-subscription delivery sequence counter plus the byte-budgeted ring of
 // sent-but-unacked frames. It outlives the subscription that created it —
 // retire detaches it into the publisher's orphan set so a resubscribe can
 // adopt it and resume.
+//
+// A live connection is an ordered stream, so the ring serves only resume:
+// frames are replayed when a subscriber reconnects, never on a live link.
+// Every sequence number a connection skips — a frame DropOldest evicted
+// from the queue, or the ring-evicted prefix of a resume — is declared Lost
+// in order by that connection's sender goroutine (sendPipeline.declareSkip).
 type relState struct {
 	budget int // ring byte budget; < 0 disables retention (sequencing only)
 
@@ -126,7 +119,8 @@ type relState struct {
 	epoch uint64
 
 	// enqMu serializes stage+enqueue across concurrently publishing
-	// goroutines so pipeline queue order matches sequence order.
+	// goroutines so pipeline queue order matches sequence order, and holds
+	// a resume's replay ahead of every later publish.
 	enqMu sync.Mutex
 
 	mu      sync.Mutex
@@ -134,21 +128,6 @@ type relState struct {
 	headSeq uint64 // sequence of ring[0]; ring covers [headSeq, next)
 	ring    []ringEntry
 	ringLen int // bytes currently retained
-
-	// Idle-replay heuristic: a subscriber missing the *trailing* frames of
-	// a burst never sees a higher seq, so it cannot detect the gap — but it
-	// keeps acking the same contiguous seq (standalone and on heartbeats).
-	// Repeated identical acks with nothing staged in between while unacked
-	// frames exist mean the tail may need replay. A merely *stalled*
-	// handler (frames queued or in flight, not lost) produces the same
-	// signal, so successive replays for one stalled ack back off
-	// exponentially — the first fires after 2 identical acks, then 4, 8, …
-	// capped at 64 — bounding the duplicated bytes logarithmically instead
-	// of re-sending the whole unacked tail every other heartbeat.
-	lastAck     uint64
-	stagedSince bool
-	ackRepeats  uint64 // identical idle acks since the last reset/replay
-	idleBackoff uint   // doublings applied to the next replay threshold
 
 	// Orphan bookkeeping, guarded by the publisher's relMu. registered
 	// reports the state lives in the publisher's resume map; an
@@ -162,8 +141,8 @@ type relState struct {
 
 	evictions uint64 // guarded by mu; snapshot via stats
 	// lossCounted is the highest seq already counted as lost (guarded by
-	// mu): repeated replays re-declare the same evicted prefix, and only
-	// seqs beyond this horizon are counted again.
+	// mu): a resume after a second cut can declare part of a range again,
+	// and only seqs beyond this horizon are counted again.
 	lossCounted uint64
 
 	// occupancy samples the ring's retained bytes after every stage, so
@@ -177,7 +156,7 @@ func newRelState(budget int) *relState {
 	}
 	return &relState{
 		budget: budget, epoch: nextStreamEpoch(),
-		next: 1, headSeq: 1, lastAck: ^uint64(0),
+		next: 1, headSeq: 1,
 		occupancy: obsv.NewHistogram(obsv.SizeBuckets),
 	}
 }
@@ -186,17 +165,29 @@ func newRelState(budget int) *relState {
 // the replay ring, and hands it to the pipeline. It consumes the caller's
 // frame reference exactly like enqueue does (the ring holds its own). The
 // enqMu critical section spans both steps so the queue drains in sequence
-// order. An errRetired enqueue still leaves the frame staged: the ring is
-// precisely what survives for the resubscribe to replay.
+// order. Two cases take no sequence number, so they leave no gap: a
+// retired pipeline (a resume may already have replayed this stream to its
+// successor) and a DropNewest refusal, which a full queue decides here
+// because only the sender drains the queue while enqMu is held.
 func (r *relState) stageAndEnqueue(pipe *sendPipeline, f *wire.Frame, m *channelMetrics) error {
 	r.enqMu.Lock()
+	defer r.enqMu.Unlock()
+	select {
+	case <-pipe.stop:
+		f.Release()
+		return errRetired
+	default:
+	}
+	if pipe.policy == DropNewest && len(pipe.queue) == cap(pipe.queue) {
+		m.dropped.Add(1)
+		f.Release()
+		return nil
+	}
 	seq, evicted := r.stage(f)
 	if evicted > 0 {
 		m.ringEvictions.Add(evicted)
 	}
-	err := pipe.enqueue(queuedFrame{f: f, seq: seq})
-	r.enqMu.Unlock()
-	return err
+	return pipe.enqueue(queuedFrame{f: f, seq: seq})
 }
 
 // stage assigns a sequence number and retains f in the ring, evicting the
@@ -206,7 +197,6 @@ func (r *relState) stage(f *wire.Frame) (seq uint64, evicted uint64) {
 	defer r.mu.Unlock()
 	seq = r.next
 	r.next++
-	r.stagedSince = true
 	if r.budget < 0 {
 		r.headSeq = r.next // nothing retained: everything below next is gone
 		return seq, 0
@@ -214,8 +204,8 @@ func (r *relState) stage(f *wire.Frame) (seq uint64, evicted uint64) {
 	f.Retain(1)
 	r.ring = append(r.ring, ringEntry{f: f, bytes: f.Len()})
 	r.ringLen += f.Len()
-	// Keep at least the newest frame so an oversized event is still
-	// repairable until the next stage displaces it.
+	// Keep at least the newest frame so an oversized event can still be
+	// replayed until the next stage displaces it.
 	for r.ringLen > r.budget && len(r.ring) > 1 {
 		r.evictFrontLocked()
 		r.evictions++
@@ -234,124 +224,85 @@ func (r *relState) evictFrontLocked() {
 	e.f.Release()
 }
 
-// onAck releases ring entries up to the cumulative ack and decides whether
-// the idle-replay heuristic fires. An ack beyond anything ever staged is
-// corrupt: it is clamped so it cannot release unsent entries or corrupt
-// the counters, and reported via the clamped return so callers can count
-// it. Replays for a repeating idle ack back off exponentially (see the
-// field comment): ack progress or fresh staging resets the backoff.
-func (r *relState) onAck(seq uint64) (released int, clamped bool, rep replaySet, replay bool) {
+// onAck releases ring entries up to the cumulative ack. An ack beyond
+// anything ever staged is corrupt: it is clamped so it cannot release
+// unsent entries, and reported via clamped so the caller can count it.
+func (r *relState) onAck(seq uint64) (released int, clamped bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ack := seq
-	if ack > r.next-1 {
-		ack = r.next - 1
+	if seq > r.next-1 {
+		seq = r.next - 1
 		clamped = true
 	}
-	released = r.releaseToLocked(ack)
-	switch {
-	case ack != r.lastAck || ack >= r.next-1:
-		// Progress (or nothing outstanding): record and disarm.
-		r.lastAck = ack
-		r.ackRepeats, r.idleBackoff = 0, 0
-	case r.stagedSince:
-		// New frames went out since the last ack; the subscriber has not
-		// had a chance to ack them yet — not an idle signal.
-		r.ackRepeats = 0
-	default:
-		r.ackRepeats++
-		if r.ackRepeats >= 1<<min(r.idleBackoff, 6) {
-			rep = r.buildReplayLocked(ack+1, r.next-1)
-			replay = true
-			r.ackRepeats = 0
-			if r.idleBackoff < 6 {
-				r.idleBackoff++
-			}
-		}
-	}
-	r.stagedSince = false
-	return released, clamped, rep, replay
-}
-
-func (r *relState) releaseToLocked(seq uint64) int {
-	n := 0
 	for len(r.ring) > 0 && r.headSeq <= seq {
 		r.evictFrontLocked()
-		n++
+		released++
 	}
-	return n
+	return released, clamped
 }
 
-// resume builds the replay for a reconnect: everything after the
-// subscriber's last contiguous seq, with the evicted prefix declared Lost.
-// A resume point stamped with a different epoch belongs to a dead stream
-// (publisher restart, evicted orphan, duplicate-triple fresh state) and
-// says nothing about *this* stream's numbering — it must neither release
-// ring entries nor suppress replay. The subscriber resets on this stream's
-// StreamStart and re-acks from zero, so a fresh state replays nothing here
-// and a populated foreign state replays via normal gap repair after the
-// reset.
-func (r *relState) resume(contig, epoch uint64) replaySet {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// resumeFrom turns a reconnect handshake's resume point into the last seq
+// the new connection counts as delivered: its sender declares everything
+// between that point and the first frame it writes Lost. The resume point
+// acts as an ack. A resume point stamped with a different epoch belongs to
+// a dead stream (publisher restart, evicted orphan, duplicate-triple fresh
+// state) and says nothing about this stream's numbering: it releases
+// nothing, and the connection starts from 0, as the subscriber does once
+// it resets on this stream's StreamStart.
+func (r *relState) resumeFrom(contig, epoch uint64) uint64 {
 	if epoch != r.epoch {
-		return replaySet{}
+		return 0
 	}
-	// The resume point acts as an ack: the subscriber durably has
-	// everything up to it.
-	r.releaseToLocked(contig)
-	if contig >= r.next-1 {
-		return replaySet{}
-	}
-	return r.buildReplayLocked(contig+1, r.next-1)
-}
-
-// replayRange builds the replay for an explicit retransmit request,
-// clamped to what was ever staged.
-func (r *relState) replayRange(from, to uint64) replaySet {
+	r.onAck(contig)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if from == 0 {
-		from = 1
-	}
-	if to > r.next-1 {
-		to = r.next - 1
-	}
-	if from > to {
-		return replaySet{}
-	}
-	return r.buildReplayLocked(from, to)
+	return min(contig, r.next-1)
 }
 
-// buildReplayLocked assembles [from, to]: the sub-range the ring evicted
-// becomes the lost prefix, the rest is retained frames (one extra
-// reference each, owned by the caller). It advances the loss-counting
-// horizon past the lost prefix.
-func (r *relState) buildReplayLocked(from, to uint64) replaySet {
-	var rep replaySet
-	if from < r.headSeq {
-		rep.lostFrom = from
-		hi := r.headSeq - 1
-		if hi > to {
-			hi = to
+// replayLocked enqueues the retained frames above last — the unacked tail
+// a resuming connection still needs — and returns the seq range it
+// enqueued (to == 0: none). The caller holds enqMu from the class join on,
+// so every new publish queues behind the replay and the connection's seqs
+// never run backwards. The ring-evicted part of the tail is left for the
+// sender to declare Lost.
+func (r *relState) replayLocked(pipe *sendPipeline, last uint64) (from, to uint64) {
+	r.mu.Lock()
+	var frames []queuedFrame
+	for i, e := range r.ring {
+		if seq := r.headSeq + uint64(i); seq > last {
+			e.f.Retain(1)
+			frames = append(frames, queuedFrame{f: e.f, seq: seq})
 		}
-		rep.lostTo = hi
-		if hi > r.lossCounted {
-			rep.lostNew = hi - max(from-1, r.lossCounted)
-			r.lossCounted = hi
-		}
-		from = r.headSeq
 	}
-	for seq := from; seq <= to; seq++ {
-		i := int(seq - r.headSeq)
-		if i < 0 || i >= len(r.ring) {
+	r.mu.Unlock()
+	for i, q := range frames {
+		if err := pipe.enqueue(q); err != nil {
+			// enqueue consumed this frame's reference; drop the rest. The
+			// ring still holds everything for the next resume.
+			for _, rest := range frames[i+1:] {
+				rest.f.Release()
+			}
+			frames = frames[:i]
 			break
 		}
-		e := r.ring[i]
-		e.f.Retain(1)
-		rep.frames = append(rep.frames, queuedFrame{f: e.f, seq: seq})
 	}
-	return rep
+	if len(frames) == 0 {
+		return 0, 0
+	}
+	return frames[0].seq, frames[len(frames)-1].seq
+}
+
+// declareLost advances the loss-counting horizon over [from, to] and
+// returns how many of its seqs no earlier declaration counted.
+func (r *relState) declareLost(from, to uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if to <= r.lossCounted {
+		return 0
+	}
+	n := to - max(from-1, r.lossCounted)
+	r.lossCounted = to
+	return n
 }
 
 // stats snapshots the ring for observability.
@@ -465,129 +416,72 @@ func (p *Publisher) closeRelStates() {
 
 // relReceiver is the subscriber-side half of one at-least-once stream:
 // dedup, gap detection and cumulative-ack pacing over the delivery
-// sequence numbers unwrapped from SeqEvent envelopes.
+// sequence numbers unwrapped from SeqEvent envelopes. A live connection
+// delivers seqs in order, so the receiver tracks only the highest one.
 type relReceiver struct {
 	mu       sync.Mutex
-	epoch    uint64              // adopted stream epoch; 0 = none yet
-	contig   uint64              // every seq <= contig has been received
-	ahead    map[uint64]struct{} // received seqs above a gap
-	reqHigh  uint64              // highest seq already covered by a retransmit request
+	epoch    uint64 // adopted stream epoch; 0 = none yet
+	contig   uint64 // every seq <= contig has been received or declared Lost
 	sinceAck uint64
 	ackEvery uint64
-
-	// Gap-retry pacing: reqHigh alone is a monotonic high-water mark, so a
-	// retransmit request whose replay was dropped (ring overflow under
-	// DropOldest, a swallowed write error) would never be re-issued on the
-	// same connection. The heartbeat loop calls retryGap every tick; when
-	// the gap persists with no contig progress across enough consecutive
-	// ticks the whole outstanding range is re-requested, with the
-	// threshold doubling per retry (2, 4, 8, … capped at 64 ticks) so a
-	// genuinely slow replay is not buried under duplicate requests.
-	hbContig   uint64 // contig at the last heartbeat tick
-	gapStalls  uint64 // consecutive ticks with a gap and no progress
-	gapBackoff uint   // doublings applied to the next retry threshold
 }
 
 func newRelReceiver(ackEvery uint64) *relReceiver {
 	if ackEvery == 0 {
 		ackEvery = DefaultAckEvery
 	}
-	return &relReceiver{ahead: make(map[uint64]struct{}), ackEvery: ackEvery}
+	return &relReceiver{ackEvery: ackEvery}
 }
 
-// admit classifies one received seq. deliver reports whether the event is
-// new (false = duplicate: drop it and ack immediately so a replaying
-// publisher converges). gapFrom/gapTo, when gapTo != 0, is a fresh gap to
-// request retransmission for. ackDue reports that the standalone-ack pace
-// elapsed; ackSeq is the current contiguous seq for either ack.
-func (r *relReceiver) admit(seq uint64) (deliver bool, gapFrom, gapTo uint64, ackDue bool, ackSeq uint64) {
+// admission classifies one received delivery seq.
+type admission int
+
+const (
+	// admitNext: the next seq in order; deliver it.
+	admitNext admission = iota
+	// admitDuplicate: at or below contig; drop it before the handler.
+	admitDuplicate
+	// admitGap: beyond contig+1. An ordered link never skips a seq
+	// without declaring it Lost first, so the link is broken.
+	admitGap
+)
+
+// admit classifies seq and, for the next seq in order, advances contig.
+// ack is non-zero when the standalone-ack pace elapsed: the contiguous seq
+// to ack.
+func (r *relReceiver) admit(seq uint64) (a admission, ack uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if seq <= r.contig {
-		return false, 0, 0, false, r.contig
+	switch {
+	case seq <= r.contig:
+		return admitDuplicate, 0
+	case seq > r.contig+1:
+		return admitGap, 0
 	}
-	if _, dup := r.ahead[seq]; dup {
-		return false, 0, 0, false, r.contig
-	}
-	if seq == r.contig+1 {
-		r.contig++
-		for {
-			if _, ok := r.ahead[r.contig+1]; !ok {
-				break
-			}
-			delete(r.ahead, r.contig+1)
-			r.contig++
-		}
-	} else {
-		r.ahead[seq] = struct{}{}
-		// Request only the part of the gap no earlier request covered.
-		if seq-1 > r.reqHigh {
-			gapFrom = r.contig + 1
-			if r.reqHigh+1 > gapFrom {
-				gapFrom = r.reqHigh + 1
-			}
-			gapTo = seq - 1
-			r.reqHigh = gapTo
-			// Trim already-received seqs off the range's edges — the
-			// request is one contiguous span, so interior holes stay, but
-			// edge trims keep a common case (one missing seq under a pile
-			// of ahead arrivals) from re-requesting received events.
-			for gapFrom <= gapTo {
-				if _, ok := r.ahead[gapFrom]; !ok {
-					break
-				}
-				gapFrom++
-			}
-			for gapTo >= gapFrom {
-				if _, ok := r.ahead[gapTo]; !ok {
-					break
-				}
-				gapTo--
-			}
-			if gapFrom > gapTo {
-				gapFrom, gapTo = 0, 0
-			}
-		}
-	}
+	r.contig = seq
 	r.sinceAck++
 	if r.sinceAck >= r.ackEvery {
 		r.sinceAck = 0
-		ackDue = true
+		ack = r.contig
 	}
-	return true, gapFrom, gapTo, ackDue, r.contig
+	return admitNext, ack
 }
 
-// lost processes a Lost notice: every seq in [from, to] never received
+// lost processes a Lost notice: every seq in [from, to] not yet received
 // counts as data loss, and the receiver advances past the range so
-// delivery resumes. Returns the loss count and the new contiguous seq to
-// ack immediately (the publisher is waiting on it).
-func (r *relReceiver) lost(from, to uint64) (missing uint64, ackSeq uint64) {
+// delivery resumes. A notice starting beyond contig+1 would skip seqs
+// nobody declared: gap reports it, and nothing changes.
+func (r *relReceiver) lost(from, to uint64) (missing uint64, gap bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for seq := from; seq <= to && seq != 0; seq++ {
-		if seq <= r.contig {
-			continue
-		}
-		if _, ok := r.ahead[seq]; ok {
-			delete(r.ahead, seq)
-			continue
-		}
-		missing++
+	if from > r.contig+1 {
+		return 0, true
 	}
 	if to > r.contig {
+		missing = to - r.contig
 		r.contig = to
-		for {
-			if _, ok := r.ahead[r.contig+1]; !ok {
-				break
-			}
-			delete(r.ahead, r.contig+1)
-			r.contig++
-		}
 	}
-	if r.reqHigh < r.contig {
-		r.reqHigh = r.contig
-	}
-	return missing, r.contig
+	return missing, false
 }
 
 // contiguous returns the highest contiguously received seq — the resume
@@ -626,65 +520,7 @@ func (r *relReceiver) streamStart(epoch uint64) (reset bool) {
 	r.epoch = epoch
 	if reset {
 		r.contig = 0
-		r.ahead = make(map[uint64]struct{})
-		r.reqHigh = 0
 		r.sinceAck = 0
-		r.hbContig, r.gapStalls, r.gapBackoff = 0, 0, 0
 	}
 	return reset
-}
-
-// retryGap is the heartbeat-paced re-request of a stuck gap. Each tick it
-// observes whether a gap exists (ahead non-empty) and whether contig moved
-// since the previous tick; after enough stalled ticks (doubling per retry,
-// see the field comment) it returns the full outstanding range to
-// re-request, edge-trimmed against already-received seqs. A zero return
-// means nothing to re-request this tick.
-func (r *relReceiver) retryGap() (from, to uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ahead) == 0 || r.contig > r.hbContig {
-		r.hbContig = r.contig
-		r.gapStalls, r.gapBackoff = 0, 0
-		return 0, 0
-	}
-	r.gapStalls++
-	if r.gapStalls < 2<<min(r.gapBackoff, 5) {
-		return 0, 0
-	}
-	r.gapStalls = 0
-	if r.gapBackoff < 5 {
-		r.gapBackoff++
-	}
-	var high uint64
-	for seq := range r.ahead {
-		if seq > high {
-			high = seq
-		}
-	}
-	// ahead is non-empty and contig+1 is never in it (it would have been
-	// merged), so [contig+1, high-1] is a valid range containing at least
-	// the first missing seq.
-	from, to = r.contig+1, high-1
-	for to >= from {
-		if _, ok := r.ahead[to]; !ok {
-			break
-		}
-		to--
-	}
-	if r.reqHigh < to {
-		r.reqHigh = to
-	}
-	return from, to
-}
-
-// resetRequests forgets outstanding retransmit requests and retry pacing.
-// Called on reconnect: the old connection's requests died with it, so gaps
-// observed after resuming must be re-requested.
-func (r *relReceiver) resetRequests() {
-	r.mu.Lock()
-	r.reqHigh = r.contig
-	r.hbContig = r.contig
-	r.gapStalls, r.gapBackoff = 0, 0
-	r.mu.Unlock()
 }

@@ -17,12 +17,42 @@ func relFrame(n int) *wire.Frame {
 	return wire.NewFrame(make([]byte, n))
 }
 
-// releaseReplay drops the caller-owned references a replaySet carries, so
-// leak assertions on the underlying frames stay meaningful.
-func releaseReplay(rep replaySet) {
-	for _, q := range rep.frames {
+// mustUnmarshal decodes one written frame.
+func mustUnmarshal(t *testing.T, data []byte) any {
+	t.Helper()
+	msg, err := wire.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
+// replayed resumes r from last on a fresh pipeline over a stub connection
+// and returns the seqs the replay enqueued, releasing their references.
+func replayed(r *relState, last uint64) []uint64 {
+	pipe := newSendPipeline(newStubConn(false), 1024, Block, supervision{}, batchConfig{}, &channelMetrics{}, nil)
+	r.enqMu.Lock()
+	r.replayLocked(pipe, last)
+	r.enqMu.Unlock()
+	var seqs []uint64
+	for len(pipe.queue) > 0 {
+		q := <-pipe.queue
+		seqs = append(seqs, q.seq)
 		q.f.Release()
 	}
+	return seqs
+}
+
+func equalSeqs(a []uint64, b ...uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRelStateSequencesAndReleases(t *testing.T) {
@@ -42,15 +72,15 @@ func TestRelStateSequencesAndReleases(t *testing.T) {
 	if staged, ringFrames, ringBytes, _ := r.stats(); staged != 5 || ringFrames != 5 || ringBytes != 500 {
 		t.Fatalf("stats after staging = (%d, %d, %d), want (5, 5, 500)", staged, ringFrames, ringBytes)
 	}
-	released, clamped, _, replay := r.onAck(3)
-	if released != 3 || clamped || replay {
-		t.Fatalf("onAck(3) = released %d clamped %v replay %v, want 3 false false", released, clamped, replay)
+	released, clamped := r.onAck(3)
+	if released != 3 || clamped {
+		t.Fatalf("onAck(3) = released %d clamped %v, want 3 false", released, clamped)
 	}
 	if _, ringFrames, ringBytes, _ := r.stats(); ringFrames != 2 || ringBytes != 200 {
 		t.Fatalf("ring after ack = (%d frames, %d bytes), want (2, 200)", ringFrames, ringBytes)
 	}
 	// A re-ack of an already-released position must be a no-op.
-	if released, _, _, _ := r.onAck(2); released != 0 {
+	if released, _ := r.onAck(2); released != 0 {
 		t.Fatalf("stale ack released %d entries", released)
 	}
 	r.close()
@@ -69,94 +99,23 @@ func TestRelStateCorruptFarAheadAckClamped(t *testing.T) {
 	// A corrupt cumulative ack far beyond anything ever staged must release
 	// at most what exists, must not derail the sequence counter — and must
 	// report the clamping so the caller can count it.
-	released, clamped, _, replay := r.onAck(1 << 60)
-	if released != 4 || !clamped || replay {
-		t.Fatalf("far-ahead ack = released %d clamped %v replay %v, want 4 true false", released, clamped, replay)
+	released, clamped := r.onAck(1 << 60)
+	if released != 4 || !clamped {
+		t.Fatalf("far-ahead ack = released %d clamped %v, want 4 true", released, clamped)
 	}
 	if seq, _ := r.stage(relFrame(50)); seq != 5 {
 		t.Fatalf("seq after corrupt ack = %d, want 5", seq)
 	}
-	// Repeating the corrupt ack with everything released must not fire the
-	// idle-replay heuristic on an empty tail.
-	r.onAck(1 << 60)
-	if _, _, _, replay := r.onAck(1 << 60); replay {
-		t.Fatal("repeated far-ahead ack with nothing unacked fired a replay")
-	}
 	// An in-range ack never reports clamping.
-	if _, clamped, _, _ := r.onAck(5); clamped {
+	if _, clamped := r.onAck(5); clamped {
 		t.Fatal("in-range ack reported clamping")
 	}
 }
 
-func TestRelStateIdleReplayHeuristic(t *testing.T) {
-	r := newRelState(1 << 20)
-	for i := 0; i < 5; i++ {
-		r.stage(relFrame(10))
-	}
-	// First ack at 2: records the position, no replay yet.
-	if _, _, _, replay := r.onAck(2); replay {
-		t.Fatal("first ack fired a replay")
-	}
-	// Same ack again with nothing staged since: the tail 3..5 is stuck on
-	// the subscriber side with no higher seq to reveal the gap — replay it.
-	_, _, rep, replay := r.onAck(2)
-	if !replay {
-		t.Fatal("repeated idle ack did not fire the tail replay")
-	}
-	if len(rep.frames) != 3 || rep.frames[0].seq != 3 || rep.frames[2].seq != 5 {
-		t.Fatalf("idle replay frames = %+v, want seqs 3..5", rep.frames)
-	}
-	if rep.lostTo != 0 {
-		t.Fatalf("idle replay declared loss %d..%d with an intact ring", rep.lostFrom, rep.lostTo)
-	}
-	releaseReplay(rep)
-	// The backoff doubles: the next identical ack only records, the one
-	// after that replays again (a lost replay is retried, not spammed).
-	if _, _, _, replay := r.onAck(2); replay {
-		t.Fatal("heuristic did not back off after firing")
-	}
-	if _, _, rep, replay := r.onAck(2); !replay {
-		t.Fatal("backed-off heuristic did not fire on the next repeat")
-	} else {
-		releaseReplay(rep)
-	}
-	// Staging between identical acks means the stream is moving: no replay.
-	r.onAck(2)
-	r.stage(relFrame(10))
-	if _, _, _, replay := r.onAck(2); replay {
-		t.Fatal("replay fired although frames were staged between acks")
-	}
-}
-
-func TestRelStateIdleReplayBackoffDoubles(t *testing.T) {
-	r := newRelState(1 << 20)
-	for i := 0; i < 4; i++ {
-		r.stage(relFrame(10))
-	}
-	r.onAck(1) // record the stalled position
-	// A handler merely stalled (nothing acked, nothing staged) must not be
-	// buried under a full-tail replay every other heartbeat: successive
-	// fires for the same stalled ack follow a doubling schedule.
-	var fires []int
-	for ack := 1; ack <= 15; ack++ {
-		if _, _, rep, replay := r.onAck(1); replay {
-			fires = append(fires, ack)
-			releaseReplay(rep)
-		}
-	}
-	if want := []int{1, 3, 7, 15}; len(fires) != len(want) || fires[0] != 1 || fires[1] != 3 || fires[2] != 7 || fires[3] != 15 {
-		t.Fatalf("idle replays fired at acks %v, want %v", fires, want)
-	}
-	// Ack progress resets the backoff: the very next repeat fires again.
-	r.onAck(2)
-	if _, _, rep, replay := r.onAck(2); !replay {
-		t.Fatal("backoff did not reset after ack progress")
-	} else {
-		releaseReplay(rep)
-	}
-	r.close()
-}
-
+// TestRelStateEvictionDeclaresLostPrefix: a resume that reaches past what
+// the ring kept replays the retained tail, and the connection's sender
+// declares the evicted prefix Lost in order, right before the first
+// replayed frame. The publisher counts each declared seq once.
 func TestRelStateEvictionDeclaresLostPrefix(t *testing.T) {
 	r := newRelState(250) // holds two 100-byte frames, evicts beyond
 	for i := 0; i < 5; i++ {
@@ -165,87 +124,102 @@ func TestRelStateEvictionDeclaresLostPrefix(t *testing.T) {
 	if _, ringFrames, _, evictions := r.stats(); ringFrames != 2 || evictions != 3 {
 		t.Fatalf("ring = %d frames %d evictions, want 2 and 3", ringFrames, evictions)
 	}
-	rep := r.replayRange(1, 5)
-	if rep.lostFrom != 1 || rep.lostTo != 3 {
-		t.Fatalf("lost prefix = %d..%d, want 1..3", rep.lostFrom, rep.lostTo)
+	last := r.resumeFrom(0, r.epoch)
+	if last != 0 {
+		t.Fatalf("resume point = %d, want 0", last)
 	}
-	if len(rep.frames) != 2 || rep.frames[0].seq != 4 || rep.frames[1].seq != 5 {
-		t.Fatalf("replayable tail = %+v, want seqs 4..5", rep.frames)
+	conn := newStubConn(false)
+	pipe := newSendPipeline(conn, 64, Block, supervision{}, batchConfig{}, &channelMetrics{}, nil)
+	pipe.reliable, pipe.lastSeq = true, last
+	var declared [][2]uint64
+	pipe.lostFn = func(from, to uint64) { declared = append(declared, [2]uint64{from, to}) }
+	r.enqMu.Lock()
+	from, to := r.replayLocked(pipe, last)
+	r.enqMu.Unlock()
+	if from != 4 || to != 5 {
+		t.Fatalf("replayed %d..%d, want the retained tail 4..5", from, to)
 	}
-	releaseReplay(rep)
+	go pipe.run()
+	waitFor(t, "replay written", func() bool { return len(conn.written()) == 3 })
+	pipe.shutdown()
+	<-pipe.done
+	got := conn.written()
+	if lost, ok := mustUnmarshal(t, got[0]).(*wire.Lost); !ok || lost.From != 1 || lost.To != 3 {
+		t.Fatalf("first frame = %+v, want Lost 1..3", mustUnmarshal(t, got[0]))
+	}
+	for i, want := range []uint64{4, 5} {
+		if se, ok := mustUnmarshal(t, got[i+1]).(*wire.SeqEvent); !ok || se.Seq != want {
+			t.Fatalf("frame %d = %+v, want seq %d", i+1, mustUnmarshal(t, got[i+1]), want)
+		}
+	}
+	if len(declared) != 1 || declared[0] != [2]uint64{1, 3} {
+		t.Fatalf("declarations = %v, want [1 3]", declared)
+	}
+	// A later resume re-declaring the prefix counts only what is new.
+	if n := r.declareLost(1, 3); n != 3 {
+		t.Fatalf("first declaration of 1..3 counted %d, want 3", n)
+	}
+	if n := r.declareLost(1, 6); n != 3 {
+		t.Fatalf("re-declaration of 1..6 counted %d, want the 3 new seqs", n)
+	}
+	if n := r.declareLost(2, 5); n != 0 {
+		t.Fatalf("declaration inside the counted horizon counted %d", n)
+	}
 	r.close()
 }
 
-// TestRepeatedIdleReplaysCountLossOnce: idle replays keep re-declaring
-// the same evicted prefix in their Lost notices, but the publisher counts
-// each evicted seq into DataLoss once, so its count equals the evictions
-// exactly — also when a later eviction extends the prefix.
-func TestRepeatedIdleReplaysCountLossOnce(t *testing.T) {
-	p := &Publisher{cfg: PublisherConfig{Logf: t.Logf}}
-	s := &subscription{id: "s", rel: newRelState(250), metrics: &channelMetrics{}} // two 100-byte frames fit
-	s.pipe = newSendPipeline(nil, 64, DropNewest, supervision{}, batchConfig{}, s.metrics, nil)
-	var notices []wire.Lost
-	drain := func() {
-		for len(s.pipe.ctrl) > 0 {
-			msg, err := wire.Unmarshal(<-s.pipe.ctrl)
-			if err != nil {
-				t.Fatal(err)
+// TestSenderCutsBatchAtSkip: a queued frame whose seq jumps past the last
+// one written cuts the batch there, and the Lost notice for the skipped
+// seqs goes out between the two halves.
+func TestSenderCutsBatchAtSkip(t *testing.T) {
+	conn := newStubConn(true)
+	m := &channelMetrics{}
+	pipe := newSendPipeline(conn, 64, Block, supervision{}, batchConfig{Bytes: 1 << 20}, m, nil)
+	pipe.reliable = true
+	go pipe.run()
+	for _, seq := range []uint64{1, 2, 5, 6} {
+		if err := pipe.enqueue(queuedFrame{f: relFrame(10), seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The gate holds the sender's first write, so the frames behind it
+	// queue up and leave as one collected run that spans the skip.
+	conn.release()
+	waitFor(t, "frames written", func() bool { return m.eventsSent.Load() == 4 })
+	pipe.shutdown()
+	<-pipe.done
+	var seqs []uint64
+	var lost []wire.Lost
+	for _, data := range conn.written() {
+		switch msg := mustUnmarshal(t, data).(type) {
+		case *wire.SeqEvent:
+			seqs = append(seqs, msg.Seq)
+		case *wire.Batch:
+			for _, e := range msg.Entries {
+				seqs = append(seqs, mustUnmarshal(t, e).(*wire.SeqEvent).Seq)
 			}
-			notices = append(notices, *msg.(*wire.Lost))
-		}
-		for len(s.pipe.queue) > 0 {
-			(<-s.pipe.queue).f.Release()
-		}
-	}
-	idle := func(acks int) {
-		for i := 0; i < acks; i++ {
-			p.handleAck(s, 0) // the subscriber holds nothing contiguous
-			drain()
+		case *wire.Lost:
+			if len(seqs) != 2 {
+				t.Fatalf("Lost notice after seqs %v, want it right after 1, 2", seqs)
+			}
+			lost = append(lost, *msg)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		s.rel.stage(relFrame(100)) // evicts 1..3
+	if !equalSeqs(seqs, 1, 2, 5, 6) || len(lost) != 1 || lost[0] != (wire.Lost{From: 3, To: 4}) {
+		t.Fatalf("wrote seqs %v and notices %+v, want 1 2 5 6 around Lost 3..4", seqs, lost)
 	}
-	idle(16) // replays at the 1st, 3rd, 7th and 15th repeat
-	if len(notices) != 4 {
-		t.Fatalf("%d Lost notices after 16 idle acks, want 4", len(notices))
-	}
-	for _, n := range notices {
-		if n.From != 1 || n.To != 3 {
-			t.Fatalf("Lost notice %d..%d, want the whole evicted prefix 1..3", n.From, n.To)
-		}
-	}
-	if got := s.metrics.dataLoss.Load(); got != 3 {
-		t.Fatalf("DataLoss = %d after 4 replays of one 3-seq prefix, want 3", got)
-	}
-
-	for i := 0; i < 3; i++ {
-		s.rel.stage(relFrame(100)) // evicts 4..6
-	}
-	notices = nil
-	idle(20) // the backoff reached 16 repeats; staging did not reset it
-	if len(notices) == 0 || notices[len(notices)-1].From != 1 || notices[len(notices)-1].To != 6 {
-		t.Fatalf("Lost notices after the second eviction = %+v, want 1..6", notices)
-	}
-	_, _, _, evictions := s.rel.stats()
-	if got := s.metrics.dataLoss.Load(); got != evictions || got != 6 {
-		t.Fatalf("DataLoss = %d, evictions = %d, want both 6", got, evictions)
-	}
-	s.rel.close()
 }
 
 func TestRelStateOversizedFrameStaysRepairable(t *testing.T) {
 	r := newRelState(64)
 	f := relFrame(1000) // alone over budget: kept anyway until displaced
 	r.stage(f)
-	rep := r.replayRange(1, 1)
-	if rep.lostTo != 0 || len(rep.frames) != 1 {
-		t.Fatalf("oversized frame not repairable: %+v", rep)
+	if got := replayed(r, 0); !equalSeqs(got, 1) {
+		t.Fatalf("oversized frame not replayable: %v", got)
 	}
-	releaseReplay(rep)
 	r.stage(relFrame(10)) // displaces the oversized entry
-	if rep := r.replayRange(1, 1); rep.lostFrom != 1 || rep.lostTo != 1 {
-		t.Fatalf("displaced oversized frame not declared lost: %+v", rep)
+	if got := replayed(r, 0); !equalSeqs(got, 2) {
+		t.Fatalf("replay after displacement = %v, want only seq 2", got)
 	}
 	r.close()
 	if f.Refs() != 1 {
@@ -262,9 +236,8 @@ func TestRelStateNegativeBudgetSequencesOnly(t *testing.T) {
 	if f.Refs() != 1 {
 		t.Fatalf("retention-disabled stage retained the frame (%d refs)", f.Refs())
 	}
-	rep := r.replayRange(1, 1)
-	if rep.lostFrom != 1 || rep.lostTo != 1 || len(rep.frames) != 0 {
-		t.Fatalf("replay with retention disabled = %+v, want all lost", rep)
+	if got := replayed(r, 0); len(got) != 0 {
+		t.Fatalf("replay with retention disabled = %v, want nothing", got)
 	}
 }
 
@@ -273,21 +246,24 @@ func TestRelStateResume(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.stage(relFrame(10))
 	}
-	rep := r.resume(4, r.epoch)
-	if rep.lostTo != 0 {
-		t.Fatalf("resume declared loss %d..%d with an intact ring", rep.lostFrom, rep.lostTo)
+	last := r.resumeFrom(4, r.epoch)
+	if last != 4 {
+		t.Fatalf("resume point = %d, want 4", last)
 	}
-	if len(rep.frames) != 2 || rep.frames[0].seq != 5 || rep.frames[1].seq != 6 {
-		t.Fatalf("resume replay = %+v, want seqs 5..6", rep.frames)
+	if got := replayed(r, last); !equalSeqs(got, 5, 6) {
+		t.Fatalf("resume replay = %v, want seqs 5..6", got)
 	}
-	releaseReplay(rep)
 	// The resume point acts as a cumulative ack.
 	if _, ringFrames, _, _ := r.stats(); ringFrames != 2 {
 		t.Fatalf("ring after resume = %d frames, want 2", ringFrames)
 	}
-	// Fully caught up: nothing to replay, nothing lost.
-	if rep := r.resume(6, r.epoch); len(rep.frames) != 0 || rep.lostTo != 0 {
-		t.Fatalf("caught-up resume = %+v, want empty", rep)
+	// Fully caught up: nothing to replay.
+	if last := r.resumeFrom(6, r.epoch); last != 6 || len(replayed(r, last)) != 0 {
+		t.Fatalf("caught-up resume from %d replayed something", last)
+	}
+	// A resume point past anything staged is clamped to the stream head.
+	if last := r.resumeFrom(99, r.epoch); last != 6 {
+		t.Fatalf("far-ahead resume point = %d, want 6", last)
 	}
 	r.close()
 }
@@ -298,19 +274,21 @@ func TestRelStateResumeForeignEpochIgnored(t *testing.T) {
 		r.stage(relFrame(10))
 	}
 	// A resume point from a different stream says nothing about this one:
-	// no replay (the subscriber resets on StreamStart and repairs via gap
-	// requests) and — critically — no release: the foreign contig must not
-	// act as an ack against this stream's numbering.
-	rep := r.resume(5, r.epoch+1)
-	if len(rep.frames) != 0 || rep.lostTo != 0 {
-		t.Fatalf("foreign-epoch resume = %+v, want empty", rep)
+	// the connection starts from 0, as the subscriber does after resetting
+	// on StreamStart, and — critically — nothing is released: the foreign
+	// contig must not act as an ack against this stream's numbering.
+	if last := r.resumeFrom(5, r.epoch+1); last != 0 {
+		t.Fatalf("foreign-epoch resume point = %d, want 0", last)
 	}
 	if _, ringFrames, _, _ := r.stats(); ringFrames != 3 {
 		t.Fatalf("foreign-epoch resume released ring entries (%d left, want 3)", ringFrames)
 	}
 	// The epoch-0 "no stream adopted" sentinel is foreign to every state.
-	if rep := r.resume(2, 0); len(rep.frames) != 0 {
-		t.Fatalf("epoch-0 resume replayed %d frames", len(rep.frames))
+	if last := r.resumeFrom(2, 0); last != 0 {
+		t.Fatalf("epoch-0 resume point = %d, want 0", last)
+	}
+	if got := replayed(r, 0); !equalSeqs(got, 1, 2, 3) {
+		t.Fatalf("replay from 0 = %v, want the whole stream", got)
 	}
 	r.close()
 }
@@ -328,48 +306,36 @@ func TestStreamEpochsDistinctAndNonZero(t *testing.T) {
 func TestRelReceiverAdmitOrderDupsAndGaps(t *testing.T) {
 	r := newRelReceiver(1 << 60) // pacing off: acks tested separately
 	for seq := uint64(1); seq <= 3; seq++ {
-		deliver, _, gapTo, _, _ := r.admit(seq)
-		if !deliver || gapTo != 0 {
-			t.Fatalf("in-order admit(%d) = deliver %v gapTo %d", seq, deliver, gapTo)
+		if a, _ := r.admit(seq); a != admitNext {
+			t.Fatalf("in-order admit(%d) = %v, want admitNext", seq, a)
 		}
 	}
-	// Jump to 6: gap 4..5 must be requested exactly once.
-	deliver, gapFrom, gapTo, _, _ := r.admit(6)
-	if !deliver || gapFrom != 4 || gapTo != 5 {
-		t.Fatalf("admit(6) = deliver %v gap %d..%d, want true 4..5", deliver, gapFrom, gapTo)
+	// Duplicates at or below contig drop.
+	if a, _ := r.admit(2); a != admitDuplicate {
+		t.Fatalf("admit of an old seq = %v, want admitDuplicate", a)
 	}
-	// A further jump requests only the uncovered part.
-	if _, gapFrom, gapTo, _, _ := r.admit(8); gapFrom != 7 || gapTo != 7 {
-		t.Fatalf("admit(8) requested %d..%d, want 7..7", gapFrom, gapTo)
+	// A jump past contig+1 is a broken link; contig does not move.
+	if a, _ := r.admit(6); a != admitGap {
+		t.Fatalf("admit(6) after 3 = %v, want admitGap", a)
 	}
-	// Duplicates: below contig and in the ahead set both drop, no request.
-	if deliver, _, gapTo, _, _ := r.admit(2); deliver || gapTo != 0 {
-		t.Fatal("admit of an old seq was delivered or re-requested")
+	if got := r.contiguous(); got != 3 {
+		t.Fatalf("contiguous after a gap = %d, want 3", got)
 	}
-	if deliver, _, _, _, _ := r.admit(6); deliver {
-		t.Fatal("admit of an ahead duplicate was delivered")
-	}
-	// Filling the gap merges the ahead set into contig.
-	r.admit(4)
-	if deliver, _, _, _, ackSeq := r.admit(5); !deliver || ackSeq != 6 {
-		t.Fatalf("gap fill: deliver %v contig %d, want true 6", deliver, ackSeq)
-	}
-	r.admit(7)
-	if got := r.contiguous(); got != 8 {
-		t.Fatalf("contiguous = %d, want 8", got)
+	if a, _ := r.admit(4); a != admitNext {
+		t.Fatalf("admit(4) = %v, want admitNext", a)
 	}
 }
 
 func TestRelReceiverAckPacing(t *testing.T) {
 	r := newRelReceiver(3)
-	dues := 0
+	var acks []uint64
 	for seq := uint64(1); seq <= 9; seq++ {
-		if _, _, _, ackDue, _ := r.admit(seq); ackDue {
-			dues++
+		if _, ack := r.admit(seq); ack != 0 {
+			acks = append(acks, ack)
 		}
 	}
-	if dues != 3 {
-		t.Fatalf("9 deliveries at AckEvery=3 paced %d acks, want 3", dues)
+	if !equalSeqs(acks, 3, 6, 9) {
+		t.Fatalf("9 deliveries at AckEvery=3 paced acks %v, want 3 6 9", acks)
 	}
 }
 
@@ -377,33 +343,23 @@ func TestRelReceiverLostAdvancesAndCounts(t *testing.T) {
 	r := newRelReceiver(1 << 60)
 	r.admit(1)
 	r.admit(2)
-	r.admit(5) // ahead; 3..4 missing
-	missing, ackSeq := r.lost(3, 6)
-	// 3, 4 and 6 were never received; 5 was already here and must not be
-	// counted as lost.
-	if missing != 3 || ackSeq != 6 {
-		t.Fatalf("lost(3,6) = %d missing ack %d, want 3 and 6", missing, ackSeq)
+	if missing, gap := r.lost(3, 6); missing != 4 || gap {
+		t.Fatalf("lost(3,6) = %d missing gap %v, want 4 false", missing, gap)
+	}
+	if got := r.contiguous(); got != 6 {
+		t.Fatalf("contiguous after loss = %d, want 6", got)
 	}
 	// A loss notice entirely in the past counts nothing.
-	if missing, _ := r.lost(1, 4); missing != 0 {
-		t.Fatalf("stale loss notice counted %d", missing)
+	if missing, gap := r.lost(1, 4); missing != 0 || gap {
+		t.Fatalf("stale loss notice = %d missing gap %v", missing, gap)
+	}
+	// A notice skipping seqs nobody declared is a broken link.
+	if missing, gap := r.lost(9, 10); missing != 0 || !gap {
+		t.Fatalf("lost(9,10) after 6 = %d missing gap %v, want 0 true", missing, gap)
 	}
 	// Delivery resumes cleanly after the advanced position.
-	if deliver, _, gapTo, _, _ := r.admit(7); !deliver || gapTo != 0 {
-		t.Fatalf("admit(7) after loss = deliver %v gapTo %d", deliver, gapTo)
-	}
-}
-
-func TestRelReceiverResetRequests(t *testing.T) {
-	r := newRelReceiver(1 << 60)
-	r.admit(1)
-	r.admit(4) // requests 2..3
-	// Reconnect: the request died with the connection. After reset, a new
-	// out-of-order arrival must re-request the still-open gap — but not the
-	// already-received seq 4 at its edge.
-	r.resetRequests()
-	if _, gapFrom, gapTo, _, _ := r.admit(5); gapFrom != 2 || gapTo != 3 {
-		t.Fatalf("post-reset admit(5) requested %d..%d, want 2..3", gapFrom, gapTo)
+	if a, _ := r.admit(7); a != admitNext {
+		t.Fatalf("admit(7) after loss = %v", a)
 	}
 }
 
@@ -415,7 +371,6 @@ func TestRelReceiverStreamStartResets(t *testing.T) {
 	for seq := uint64(1); seq <= 5; seq++ {
 		r.admit(seq)
 	}
-	r.admit(8) // 6..7 outstanding
 	if r.streamStart(7) {
 		t.Fatal("unchanged epoch reported a reset")
 	}
@@ -430,46 +385,8 @@ func TestRelReceiverStreamStartResets(t *testing.T) {
 	if seq, epoch := r.resumePoint(); seq != 0 || epoch != 9 {
 		t.Fatalf("resume point after reset = (%d, %d), want (0, 9)", seq, epoch)
 	}
-	if deliver, _, gapTo, _, _ := r.admit(1); !deliver || gapTo != 0 {
-		t.Fatalf("fresh stream's seq 1 after reset: deliver %v gapTo %d, want true 0", deliver, gapTo)
-	}
-}
-
-func TestRelReceiverRetryGapBacksOff(t *testing.T) {
-	r := newRelReceiver(1 << 60)
-	r.admit(1)
-	r.admit(4) // requests 2..3; pretend the replay was dropped
-	// Tick 1 observes the post-admit progress; the gap must then persist
-	// for 2 stalled ticks before the first re-request.
-	if _, to := r.retryGap(); to != 0 {
-		t.Fatal("progress-observation tick re-requested")
-	}
-	if _, to := r.retryGap(); to != 0 {
-		t.Fatal("first stalled tick re-requested before the threshold")
-	}
-	if from, to := r.retryGap(); from != 2 || to != 3 {
-		t.Fatalf("retry = %d..%d, want 2..3", from, to)
-	}
-	// The threshold doubles: the next retry takes 4 stalled ticks.
-	for i := 0; i < 3; i++ {
-		if _, to := r.retryGap(); to != 0 {
-			t.Fatalf("backoff tick %d re-requested", i+1)
-		}
-	}
-	if from, to := r.retryGap(); from != 2 || to != 3 {
-		t.Fatalf("backed-off retry = %d..%d, want 2..3", from, to)
-	}
-	// Contig progress resets the pacing; a repaired gap stops it entirely.
-	r.admit(2)
-	if _, to := r.retryGap(); to != 0 {
-		t.Fatal("progress tick re-requested")
-	}
-	r.admit(3) // merges 4: ahead drains
-	if _, to := r.retryGap(); to != 0 {
-		t.Fatal("repaired gap re-requested")
-	}
-	if got := r.contiguous(); got != 4 {
-		t.Fatalf("contig after repair = %d, want 4", got)
+	if a, _ := r.admit(1); a != admitNext {
+		t.Fatalf("fresh stream's seq 1 after reset: %v, want admitNext", a)
 	}
 }
 

@@ -95,10 +95,10 @@ func TestBadHandlerSourceRejected(t *testing.T) {
 
 // TestProtocolMismatchRejected: a handshake at any revision other than
 // wire.ProtocolVersion is refused before anything registers. Revisions 3
-// to 5 are the retired ones an old peer could still announce; 99 stands for
+// to 6 are the retired ones an old peer could still announce; 99 stands for
 // a future one.
 func TestProtocolMismatchRejected(t *testing.T) {
-	for _, proto := range []uint32{3, 4, 5, 99} {
+	for _, proto := range []uint32{3, 4, 5, 6, 99} {
 		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
 			pub := newTestPublisher(t)
 			conn, err := net.Dial("tcp", pub.Addr())

@@ -126,8 +126,8 @@ type SubscriberConfig struct {
 	FlipConfirmations int
 	// Reliability selects the delivery contract. BestEffort
 	// — the zero value — is the classic fire-and-forget channel.
-	// AtLeastOnce adds per-subscription sequencing, publisher-side replay,
-	// dedup and gap repair: every event arrives at least once (exactly
+	// AtLeastOnce adds per-subscription sequencing, dedup and resume with
+	// publisher-side replay: every event arrives at least once (exactly
 	// once at the handler, which sits behind the dedup) or its loss is
 	// explicitly counted as DataLoss.
 	Reliability Reliability
@@ -174,8 +174,12 @@ type Subscriber struct {
 	// sit on a different path.
 	link *linkest.Estimator
 
-	mu          sync.Mutex
-	conn        transport.Conn
+	mu   sync.Mutex
+	conn transport.Conn
+	// connClosed reports that this subscriber closed conn itself (a
+	// broken stream, a failed heartbeat), so failed writes on it are
+	// expected, not errors.
+	connClosed  bool
 	senderStats map[int32]costmodel.Stat
 	// lastSplit and pushedVersion describe the last plan pushed to the
 	// publisher; diverged is set when feedback reports a publisher-side
@@ -474,6 +478,7 @@ func (s *Subscriber) Close() error {
 func (s *Subscriber) setConn(conn transport.Conn) {
 	s.mu.Lock()
 	s.conn = conn
+	s.connClosed = false
 	s.mu.Unlock()
 }
 
@@ -598,12 +603,6 @@ func (s *Subscriber) resync(conn transport.Conn) error {
 		s.link.Reset()
 		s.runit.SetEnvironment(s.cfg.Environment)
 	}
-	if s.rel != nil {
-		// Retransmit requests issued on the dead connection died with it;
-		// gaps still open after the publisher's resume replay must be
-		// re-requested on this one.
-		s.rel.resetRequests()
-	}
 	merged, _ := s.mergeStats()
 	plan, wirePlan, err := s.selectPlan(merged)
 	if err != nil {
@@ -638,9 +637,7 @@ func (s *Subscriber) heartbeatLoop(conn transport.Conn, connDone <-chan struct{}
 			}
 			if s.rel != nil {
 				// Idle channels still drain the publisher's replay ring:
-				// every heartbeat piggybacks the cumulative ack, and the
-				// publisher's idle-replay heuristic keys off repeated acks
-				// to repair a lost stream tail.
+				// every heartbeat piggybacks the cumulative ack.
 				hb.HasAck = true
 				hb.AckSeq = s.rel.contiguous()
 			}
@@ -651,7 +648,7 @@ func (s *Subscriber) heartbeatLoop(conn transport.Conn, connDone <-chan struct{}
 			}
 			s.sup.armWrite(conn)
 			if err := conn.WriteFrame(buf); err != nil {
-				_ = conn.Close()
+				s.closeConn(conn)
 				return
 			}
 			s.metrics.heartbeatsSent.Add(1)
@@ -671,15 +668,6 @@ func (s *Subscriber) heartbeatLoop(conn transport.Conn, connDone <-chan struct{}
 						// the front against the measured link.
 						s.runit.SetEnvironment(env)
 					}
-				}
-			}
-			if s.rel != nil {
-				// Heartbeat-paced gap retry: a retransmit request whose
-				// replay was dropped would otherwise never be re-issued on
-				// this connection (reqHigh is a high-water mark). retryGap
-				// re-arms it after a backoff of stalled ticks.
-				if from, to := s.rel.retryGap(); to != 0 {
-					s.sendRetransmitRequest(from, to)
 				}
 			}
 		}
@@ -725,17 +713,17 @@ func (s *Subscriber) readLoop(conn transport.Conn) error {
 			s.handleEvent(m, frame)
 		case *wire.SeqEvent:
 			s.metrics.bytesOnWire.Add(wireBytes)
-			s.handleSeqEvent(m)
+			err = s.handleSeqEvent(m)
 		case *wire.Batch:
 			s.metrics.bytesOnWire.Add(wireBytes)
 			s.metrics.batchesRecv.Add(1)
-			s.handleBatch(m)
+			err = s.handleBatch(m)
 		case *wire.StreamStart:
 			s.metrics.controlBytes.Add(wireBytes)
 			s.handleStreamStart(m)
 		case *wire.Lost:
 			s.metrics.controlBytes.Add(wireBytes)
-			s.handleLost(m)
+			err = s.handleLost(m)
 		case *wire.Feedback:
 			s.metrics.controlBytes.Add(wireBytes)
 			s.applyFeedback(m)
@@ -754,6 +742,13 @@ func (s *Subscriber) readLoop(conn transport.Conn) error {
 		default:
 			s.metrics.controlBytes.Add(wireBytes)
 			s.cfg.Logf("jecho subscriber: unexpected %T", msg)
+		}
+		if err != nil {
+			// The stream skipped a seq nobody declared: the link is broken.
+			// Closing it hands recovery to supervision, whose resume
+			// replays from the last contiguous seq.
+			s.closeConn(conn)
+			return err
 		}
 	}
 }
@@ -789,8 +784,9 @@ func (s *Subscriber) handleEvent(m any, frame []byte) {
 // handleBatch unpacks a batch frame and demodulates each entry in order,
 // with per-entry fault containment: a corrupt or poison entry is counted,
 // quarantined and NACKed exactly as if it had arrived in its own frame,
-// and the remaining entries still run.
-func (s *Subscriber) handleBatch(b *wire.Batch) {
+// and the remaining entries still run. A sequence gap stops the batch: the
+// link is broken (see handleSeqEvent).
+func (s *Subscriber) handleBatch(b *wire.Batch) error {
 	for _, entry := range b.Entries {
 		inner, err := wire.Unmarshal(entry)
 		if err != nil {
@@ -808,7 +804,9 @@ func (s *Subscriber) handleBatch(b *wire.Batch) {
 		case *wire.Raw, *wire.Continuation:
 			s.handleEvent(m, entry)
 		case *wire.SeqEvent:
-			s.handleSeqEvent(m)
+			if err := s.handleSeqEvent(m); err != nil {
+				return err
+			}
 		default:
 			// Only event frames ride in batches; a nested batch or a
 			// smuggled control frame is a protocol violation by the peer.
@@ -816,6 +814,7 @@ func (s *Subscriber) handleBatch(b *wire.Batch) {
 			s.cfg.Logf("jecho subscriber: batch entry was %T", m)
 		}
 	}
+	return nil
 }
 
 // handleSeqEvent unwraps one delivery-sequenced event: dedup and gap
@@ -823,25 +822,25 @@ func (s *Subscriber) handleBatch(b *wire.Batch) {
 // handler sits strictly behind the dedup (at-least-once on the wire,
 // exactly-once at the handler). Acking is receipt-based — a poison payload
 // is still acked, because redelivering it would just poison again; the
-// dead-letter quarantine owns that failure mode.
-func (s *Subscriber) handleSeqEvent(se *wire.SeqEvent) {
+// dead-letter quarantine owns that failure mode. A seq beyond the next
+// expected one can only come from a broken link, since the publisher
+// declares every skip Lost in order: it returns an error, and the caller
+// closes the connection.
+func (s *Subscriber) handleSeqEvent(se *wire.SeqEvent) error {
 	if s.rel == nil {
 		// A best-effort subscription must never see envelopes; a publisher
 		// that sends them anyway is violating the negotiated protocol.
 		s.metrics.decodeFailures.Add(1)
 		s.cfg.Logf("jecho subscriber: unexpected seq envelope on best-effort channel")
-		return
+		return nil
 	}
-	deliver, gapFrom, gapTo, ackDue, ackSeq := s.rel.admit(se.Seq)
-	if gapTo != 0 {
-		s.sendRetransmitRequest(gapFrom, gapTo)
-	}
-	if !deliver {
-		// Replay overshoot or ack race: drop before the handler and ack
-		// immediately so the replaying publisher converges.
+	a, ack := s.rel.admit(se.Seq)
+	switch a {
+	case admitDuplicate:
 		s.metrics.duplicatesDropped.Add(1)
-		s.sendAck(ackSeq)
-		return
+		return nil
+	case admitGap:
+		return s.gapError(se.Seq)
 	}
 	inner, err := wire.Unmarshal(se.Payload)
 	if err != nil {
@@ -862,9 +861,18 @@ func (s *Subscriber) handleSeqEvent(se *wire.SeqEvent) {
 			s.cfg.Logf("jecho subscriber: seq envelope carried %T", m)
 		}
 	}
-	if ackDue {
-		s.sendAck(ackSeq)
+	if ack != 0 {
+		s.sendAck(ack)
 	}
+	return nil
+}
+
+// gapError logs a sequence gap at seq and returns it as the error that
+// ends the connection.
+func (s *Subscriber) gapError(seq uint64) error {
+	err := fmt.Errorf("jecho: seq %d arrived after %d with no loss declared; link broken", seq, s.rel.contiguous())
+	s.cfg.Logf("jecho subscriber %s: %v", s.cfg.Name, err)
+	return err
 }
 
 // handleStreamStart processes the publisher's stream-epoch handshake — the
@@ -890,79 +898,92 @@ func (s *Subscriber) handleStreamStart(m *wire.StreamStart) {
 	}
 }
 
-// handleLost processes a Lost notice: the publisher's ring evicted
-// [From, To] before the gap could be repaired. Every event in the range
-// this subscriber never received is counted as DataLoss — loudly, on the
-// counter, the tracer and the log — and the stream advances past it.
-func (s *Subscriber) handleLost(m *wire.Lost) {
+// handleLost processes a Lost notice: the publisher skipped [From, To] on
+// this stream — an overflow eviction, or a resume reaching past what its
+// replay ring kept. Every event in the range this subscriber never
+// received is counted as DataLoss — loudly, on the counter, the tracer and
+// the log — and the stream advances past it. A notice that starts beyond
+// the next expected seq skips seqs nobody declared: the link is broken.
+func (s *Subscriber) handleLost(m *wire.Lost) error {
 	if s.rel == nil {
 		s.cfg.Logf("jecho subscriber: unexpected loss notice on best-effort channel")
-		return
+		return nil
 	}
-	missing, ackSeq := s.rel.lost(m.From, m.To)
+	missing, gap := s.rel.lost(m.From, m.To)
+	if gap {
+		return s.gapError(m.From)
+	}
 	if missing > 0 {
 		s.metrics.dataLoss.Add(missing)
 		traceDataLoss(s.cfg.Tracer, s.cfg.Channel, s.cfg.Name, m.From, m.To)
-		s.cfg.Logf("jecho subscriber %s: DATA LOSS: %d events in seq range %d..%d are unrecoverable (replay ring evicted them)",
+		s.cfg.Logf("jecho subscriber %s: DATA LOSS: %d events in seq range %d..%d are unrecoverable (the publisher skipped them)",
 			s.cfg.Name, missing, m.From, m.To)
 	}
-	// Ack the advanced position immediately: the publisher is holding (or
-	// re-declaring) this range until it hears we moved past it.
-	s.sendAck(ackSeq)
+	return nil
 }
 
-// sendAck pushes a cumulative delivery ack upstream. Like sendNack it
-// writes directly on the connection (WriteFrame is concurrency-safe) and
-// only logs failures: the teardown a failed write implies is the read
-// loop's to detect.
+// sendAck pushes a cumulative delivery ack upstream.
 func (s *Subscriber) sendAck(seq uint64) {
 	data, err := wire.Marshal(&wire.Ack{Seq: seq})
 	if err != nil {
 		return
 	}
-	conn := s.currentConn()
-	s.sup.armWrite(conn)
-	if err := conn.WriteFrame(data); err != nil {
-		s.cfg.Logf("jecho subscriber: send ack: %v", err)
-		return
+	if s.writeControl("ack", data) {
+		s.metrics.acksSent.Add(1)
 	}
-	s.metrics.acksSent.Add(1)
-	s.metrics.controlBytes.Add(uint64(len(data)) + transport.HeaderSize)
 }
 
 // sendEcho reflects a publisher heartbeat's Seq back as a pure echo
 // (Seq 0, so the publisher never echoes it in turn), closing the
-// publisher's RTT sample. Direct connection write like sendAck.
+// publisher's RTT sample.
 func (s *Subscriber) sendEcho(seq uint64) {
 	data, err := wire.Marshal(&wire.Heartbeat{HasEcho: true, EchoSeq: seq})
 	if err != nil {
 		return
 	}
-	conn := s.currentConn()
-	s.sup.armWrite(conn)
-	if err := conn.WriteFrame(data); err != nil {
-		s.cfg.Logf("jecho subscriber: send echo: %v", err)
-		return
+	if s.writeControl("echo", data) {
+		s.metrics.heartbeatsSent.Add(1)
 	}
-	s.metrics.heartbeatsSent.Add(1)
-	s.metrics.controlBytes.Add(uint64(len(data)) + transport.HeaderSize)
 }
 
-// sendRetransmitRequest asks the publisher to replay [from, to] — the
-// receiver observed a delivery beyond a gap these seqs should have filled.
-func (s *Subscriber) sendRetransmitRequest(from, to uint64) {
-	data, err := wire.Marshal(&wire.Retransmit{From: from, To: to})
-	if err != nil {
-		return
-	}
+// writeControl writes one control frame directly on the current connection
+// (WriteFrame is concurrency-safe) and counts its bytes. A failed write is
+// only logged — the teardown it implies is the read loop's to detect — and
+// not even that while this subscriber is closing or closed the connection
+// itself, where a failed write is the expected end of a clean teardown.
+func (s *Subscriber) writeControl(what string, data []byte) bool {
 	conn := s.currentConn()
 	s.sup.armWrite(conn)
 	if err := conn.WriteFrame(data); err != nil {
-		s.cfg.Logf("jecho subscriber: send retransmit request: %v", err)
-		return
+		if !s.stopping() {
+			s.cfg.Logf("jecho subscriber: send %s: %v", what, err)
+		}
+		return false
 	}
-	s.metrics.retransReqSent.Add(1)
 	s.metrics.controlBytes.Add(uint64(len(data)) + transport.HeaderSize)
+	return true
+}
+
+// closeConn closes conn on this subscriber's own initiative, so writes
+// racing the close are not reported as errors.
+func (s *Subscriber) closeConn(conn transport.Conn) {
+	s.mu.Lock()
+	if conn == s.conn {
+		s.connClosed = true
+	}
+	s.mu.Unlock()
+	_ = conn.Close()
+}
+
+// stopping reports that this subscriber is closing or has closed its
+// current connection itself.
+func (s *Subscriber) stopping() bool {
+	if s.closing.Load() {
+		return true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.connClosed
 }
 
 // attribution extracts the sequence number and split PSE from a decoded
@@ -1019,22 +1040,17 @@ func (s *Subscriber) noteDemodFailure(msg any, frame []byte, err error) {
 	}
 }
 
-// sendNack reports one demod failure upstream. A failed write is only
-// logged: the connection teardown it implies is detected by the read loop.
+// sendNack reports one demod failure upstream.
 func (s *Subscriber) sendNack(n *wire.Nack) {
 	data, err := wire.Marshal(n)
 	if err != nil {
 		s.cfg.Logf("jecho subscriber: marshal nack: %v", err)
 		return
 	}
-	conn := s.currentConn()
-	s.sup.armWrite(conn)
-	if err := conn.WriteFrame(data); err != nil {
-		s.cfg.Logf("jecho subscriber: send nack: %v", err)
+	if !s.writeControl("nack", data) {
 		return
 	}
 	s.metrics.nacksSent.Add(1)
-	s.metrics.controlBytes.Add(uint64(len(data)) + transport.HeaderSize)
 	s.cfg.Tracer.Emit(obsv.Event{
 		Kind: obsv.EvNackSent, Channel: s.cfg.Channel, Sub: s.cfg.Name,
 		PSE: n.PSEID, EventSeq: n.Seq, Detail: n.Class.String(),
@@ -1141,7 +1157,7 @@ func (s *Subscriber) reconfigureWith(merged map[int32]costmodel.Stat) {
 		return
 	}
 	s.demod.SetProfilePlan(plan)
-	if err := s.sendPlan(wirePlan); err != nil {
+	if err := s.sendPlan(wirePlan); err != nil && !s.stopping() {
 		s.cfg.Logf("jecho subscriber: send plan: %v", err)
 	}
 }

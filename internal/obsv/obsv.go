@@ -97,11 +97,12 @@ const (
 	// ring (Bytes is the retained frame size, Detail the fault class).
 	EvDeadLetter
 	// EvReplay: the publisher re-sent a range of sequenced events from its
-	// replay ring — a retransmit request, an idle-tail repair or a
-	// reconnect resume (Detail is the "from..to" sequence range).
+	// replay ring to a subscriber resuming after a reconnect (Detail is
+	// the "from..to" sequence range).
 	EvReplay
 	// EvDataLoss: a range of sequenced events was declared unrecoverable —
-	// the replay ring evicted them before the gap could be repaired
+	// a connection skipped them (an overflow eviction, or a resume reaching
+	// past what the replay ring kept) and declared them Lost in order
 	// (Detail is the "from..to" sequence range; Value the event count).
 	EvDataLoss
 	// EvStreamReset: the subscriber observed a new publisher-side stream

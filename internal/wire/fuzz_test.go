@@ -34,7 +34,6 @@ func FuzzUnmarshal(f *testing.F) {
 			CostModel: "datasize", Natives: []string{"displayImage"},
 			Reliability: ReliabilityAtLeastOnce, ResumeSeq: 12345, ResumeEpoch: 67890},
 		&Ack{Seq: 99},
-		&Retransmit{From: 10, To: 20},
 		&Lost{From: 21, To: 21},
 		&StreamStart{Epoch: 1 << 50},
 	}
@@ -76,10 +75,13 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(corruptObj)
 	// Reliability-frame corruption: a cumulative ack absurdly far ahead of
 	// anything ever sent (the publisher must clamp, not release unsent ring
-	// entries), inverted retransmit/lost ranges, a truncated sequence
+	// entries), an inverted lost range, a truncated sequence
 	// envelope header, and an envelope wrapping garbage instead of a frame.
+	// Tag 10, revision 6's retransmit request, is retired: its well-formed
+	// and inverted-range frames must now fail to decode.
 	f.Add([]byte{byte(MsgAck), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{byte(MsgRetransmit), 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{10, 10, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{10, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{byte(MsgLost), 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{byte(MsgSeqEvent), 1, 2, 3})
 	f.Add(AppendSeqEvent(nil, 5, []byte{0xfe, 0xfd}))

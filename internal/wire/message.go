@@ -12,17 +12,19 @@ import (
 
 // ProtocolVersion is the one wire protocol revision both ends speak. A
 // subscription handshake carries it, and a publisher refuses any other
-// revision before compiling or sending anything. Revision 6 is: Raw and
+// revision before compiling or sending anything. Revision 7 is: Raw and
 // Continuation event frames, optionally coalesced into Batch frames;
 // Feedback (per-PSE statistics with failure counts and the sender's plan
 // version), Plan and Nack control frames; Heartbeats that carry a flag byte
 // for a piggybacked ack and an echo of the peer's probe, from which each end
 // measures round-trip time on its own clock; and the opt-in at-least-once
-// layer (SeqEvent envelopes, Ack, Retransmit, Lost and StreamStart frames,
-// and the Subscribe handshake's Reliability, ResumeSeq and ResumeEpoch
-// fields; see reliable.go). Every field is always written and always
-// required.
-const ProtocolVersion uint32 = 6
+// layer (SeqEvent envelopes, Ack, Lost and StreamStart frames, and the
+// Subscribe handshake's Reliability, ResumeSeq and ResumeEpoch fields; see
+// reliable.go). Every field is always written and always required.
+// Revision 6 also had a retransmit request (tag 10) for repairing gaps on
+// a live connection; revision 7 declares every skip in order and replays
+// only on resume, so tag 10 no longer decodes.
+const ProtocolVersion uint32 = 7
 
 // MsgType identifies a framed message.
 type MsgType byte
@@ -55,11 +57,10 @@ const (
 	// MsgAck is the cumulative delivery acknowledgement: everything up to
 	// Ack.Seq arrived, release the replay ring behind it.
 	MsgAck
-	// MsgRetransmit asks the publisher to replay a sequence range the
-	// subscriber detected as a gap.
-	MsgRetransmit
-	// MsgLost declares a sequence range unrecoverable — evicted from the
-	// replay ring before it could be repaired.
+	// Tag 10 was the retransmit request of revision 6; it is not reused.
+	_
+	// MsgLost declares a sequence range the publisher skipped on this
+	// stream, ahead of the next frame it sends.
 	MsgLost
 	// MsgSeqEvent is the per-subscription delivery-sequence envelope
 	// around one event frame.
@@ -409,10 +410,6 @@ func (e *Encoder) encodeMessage(msg any) error {
 	case *Ack:
 		e.w.WriteByte(byte(MsgAck))
 		e.writeU64(m.Seq)
-	case *Retransmit:
-		e.w.WriteByte(byte(MsgRetransmit))
-		e.writeU64(m.From)
-		e.writeU64(m.To)
 	case *Lost:
 		e.w.WriteByte(byte(MsgLost))
 		e.writeU64(m.From)
@@ -479,7 +476,7 @@ func AppendBatch(dst []byte, entries [][]byte) []byte {
 
 // Unmarshal decodes a message produced by Marshal. The concrete type of the
 // result is *Raw, *Continuation, *Feedback, *Plan, *Subscribe, *Heartbeat,
-// *Nack, *Batch, *Ack, *Retransmit, *Lost, *SeqEvent or *StreamStart.
+// *Nack, *Batch, *Ack, *Lost, *SeqEvent or *StreamStart.
 // Batch entries and SeqEvent payloads alias data; they stay valid only as
 // long as the input does.
 func Unmarshal(data []byte) (any, error) {
@@ -666,19 +663,6 @@ func Unmarshal(data []byte) (any, error) {
 		var err error
 		if m.Seq, err = d.readU64(); err != nil {
 			return nil, err
-		}
-		return m, nil
-	case MsgRetransmit:
-		m := &Retransmit{}
-		var err error
-		if m.From, err = d.readU64(); err != nil {
-			return nil, err
-		}
-		if m.To, err = d.readU64(); err != nil {
-			return nil, err
-		}
-		if m.To < m.From {
-			return nil, fmt.Errorf("wire: retransmit range [%d, %d] is inverted", m.From, m.To)
 		}
 		return m, nil
 	case MsgStreamStart:

@@ -12,9 +12,9 @@ const (
 	// no sequence envelopes, no replay ring, no acks.
 	ReliabilityBestEffort uint32 = 0
 	// ReliabilityAtLeastOnce requests delivery-sequenced events with
-	// publisher-side replay and subscriber-side dedup: every sequenced
-	// event is delivered at least once, or its loss is explicitly
-	// declared with a Lost notice — never silently dropped.
+	// publisher-side replay on resume and subscriber-side dedup: every
+	// sequenced event is delivered at least once, or its loss is
+	// explicitly declared with a Lost notice — never silently dropped.
 	ReliabilityAtLeastOnce uint32 = 1
 )
 
@@ -28,22 +28,13 @@ type Ack struct {
 	Seq uint64
 }
 
-// Retransmit asks the publisher to replay the sequenced events in
-// [From, To] (inclusive) from its replay ring — the subscriber observed a
-// gap below a delivered seq. Ranges the ring has evicted come back as a
-// Lost notice instead of frames.
-type Retransmit struct {
-	// From is the first missing delivery sequence number.
-	From uint64
-	// To is the last missing delivery sequence number (>= From).
-	To uint64
-}
-
 // Lost declares that the sequenced events in [From, To] (inclusive) are
-// unrecoverable: the publisher's replay ring evicted them before the
-// subscriber could repair the gap. The subscriber advances past the range
-// and accounts every event in it that it never saw as DataLoss — loss is
-// loud and counted, never silent.
+// unrecoverable: the publisher skipped them on this stream (an overflow
+// eviction, or a resume reaching past what its replay ring kept). The
+// publisher sends it in order, right before the frame after the range, so
+// From is always the subscriber's next expected seq. The subscriber
+// advances past the range and accounts every event in it that it never saw
+// as DataLoss — loss is loud and counted, never silent.
 type Lost struct {
 	// From is the first unrecoverable delivery sequence number.
 	From uint64

@@ -13,7 +13,6 @@ func TestReliableRoundTrips(t *testing.T) {
 	}
 	msgs := []any{
 		&Ack{Seq: 42},
-		&Retransmit{From: 7, To: 19},
 		&Lost{From: 3, To: 3},
 		&SeqEvent{Seq: 9, Payload: inner},
 		&StreamStart{Epoch: 1234567},
@@ -31,10 +30,6 @@ func TestReliableRoundTrips(t *testing.T) {
 		case *Ack:
 			if g := got.(*Ack); *g != *want {
 				t.Fatalf("ack roundtrip: got %+v want %+v", g, want)
-			}
-		case *Retransmit:
-			if g := got.(*Retransmit); *g != *want {
-				t.Fatalf("retransmit roundtrip: got %+v want %+v", g, want)
 			}
 		case *Lost:
 			if g := got.(*Lost); *g != *want {
@@ -107,17 +102,26 @@ func TestSeqEventRejectsDegenerate(t *testing.T) {
 	}
 }
 
-// TestRangeFramesRejectInverted: a Retransmit or Lost whose To < From is a
-// corrupt frame, not a request the receiver should guess at.
+// TestRangeFramesRejectInverted: a Lost whose To < From is a corrupt
+// frame, not a declaration the receiver should guess at.
 func TestRangeFramesRejectInverted(t *testing.T) {
-	for _, m := range []any{&Retransmit{From: 9, To: 3}, &Lost{From: 9, To: 3}} {
-		data, err := Marshal(m)
-		if err != nil {
-			t.Fatalf("marshal %T: %v", m, err)
-		}
-		if _, err := Unmarshal(data); err == nil {
-			t.Fatalf("unmarshal of inverted %T succeeded", m)
-		}
+	data, err := Marshal(&Lost{From: 9, To: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(data); err == nil {
+		t.Fatal("unmarshal of an inverted lost range succeeded")
+	}
+}
+
+// TestRetiredTagRejected: tag 10, revision 6's retransmit request, sits
+// between MsgAck and MsgLost and no longer decodes.
+func TestRetiredTagRejected(t *testing.T) {
+	if MsgAck != 9 || MsgLost != 11 || MsgSeqEvent != 12 || MsgStreamStart != 13 {
+		t.Fatalf("reliability tags moved: ack %d lost %d seq %d start %d", MsgAck, MsgLost, MsgSeqEvent, MsgStreamStart)
+	}
+	if _, err := Unmarshal([]byte{10, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("a tag-10 frame decoded")
 	}
 }
 
