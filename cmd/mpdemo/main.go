@@ -76,9 +76,9 @@ func newDemoFlags() *demoFlags {
 		maxWork:      fs.Int64("max-work", 0, "per-message interpreter work budget at the subscriber (>0 enables)"),
 		deadletter:   fs.Bool("deadletter", false, "print the subscriber's dead-letter quarantine on exit"),
 		splitPolicy:  fs.String("split-policy", "balanced", "subscriber SLO policy picking the split off the Pareto front: balanced | latency-first | cost-first | receiver-weak"),
-		linkEstimate: fs.Duration("link-estimate-interval", 0, "measure the link from heartbeat echoes and bytes-on-wire, refreshing the cost-model environment this often (0 = off; needs heartbeats)"),
-		flipMargin:   fs.Float64("flip-margin", 0, "flip hysteresis: a challenger cut must beat the incumbent's primary objective by this fraction (e.g. 0.1; 0 = flip eagerly)"),
-		flipConfirm:  fs.Int("flip-confirmations", 0, "flip hysteresis: consecutive margin-beating selections required before a flip (0 = default 3; needs -flip-margin)"),
+		linkEstimate: fs.Duration("link-estimate-interval", 0, "subscriber measures the link from heartbeat echoes and bytes-on-wire, refreshing its cost-model environment this often (0 = off; needs heartbeats)"),
+		flipMargin:   fs.Float64("flip-margin", 0, "subscriber flip hysteresis: a challenger cut must beat the incumbent's primary objective by this fraction (e.g. 0.1; 0 = flip eagerly)"),
+		flipConfirm:  fs.Int("flip-confirmations", 0, "subscriber flip hysteresis: consecutive margin-beating selections required before a flip (0 = default 3; needs -flip-margin)"),
 		debugAddr:    fs.String("debug-addr", "", "serve /metrics and /debug/split on this address (e.g. 127.0.0.1:8377; empty = off)"),
 		trace:        fs.String("trace", "", "dump the split-lifecycle trace as JSON lines to this file on exit (\"-\" = stdout; empty = off)"),
 	}
@@ -238,19 +238,16 @@ func parsePolicy(name string) (methodpart.OverflowPolicy, error) {
 func newPublisher(addr string, queue int, policy methodpart.OverflowPolicy, sup supervisionFlags, obs *observability) (*methodpart.Publisher, error) {
 	reg, _ := imaging.Builtins()
 	pub, err := methodpart.NewPublisher(methodpart.PublisherConfig{
-		Addr:                 addr,
-		Builtins:             reg,
-		FeedbackEvery:        2,
-		QueueDepth:           queue,
-		OverflowPolicy:       policy,
-		HeartbeatInterval:    sup.heartbeat,
-		WriteTimeout:         sup.writeTimeout,
-		BatchBytes:           sup.batchBytes,
-		BatchDelay:           sup.batchDelay,
-		LinkEstimateInterval: sup.linkEstimate,
-		FlipMargin:           sup.flipMargin,
-		FlipConfirmations:    sup.flipConfirm,
-		Tracer:               obs.tracer,
+		Addr:              addr,
+		Builtins:          reg,
+		FeedbackEvery:     2,
+		QueueDepth:        queue,
+		OverflowPolicy:    policy,
+		HeartbeatInterval: sup.heartbeat,
+		WriteTimeout:      sup.writeTimeout,
+		BatchBytes:        sup.batchBytes,
+		BatchDelay:        sup.batchDelay,
+		Tracer:            obs.tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package jecho_test
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,10 +20,12 @@ import (
 // causal order. On the publisher the containment pipeline runs entirely on
 // the control-read goroutine, so its trace sequence must show
 //
-//	nack-recv → breaker "open" → min-cut → plan-flip
+//	nack-recv → breaker "open" → plan-flip
 //
-// for the poisoned PSE; on the subscriber, every quarantined frame must
-// appear as a nack-sent and a dead-letter event.
+// for the poisoned PSE, with a flip whose split excludes it. The publisher
+// falls back by scanning the cut table and never selects a plan, so its
+// trace holds no min-cut event at all. On the subscriber, every
+// quarantined frame must appear as a nack-sent and a dead-letter event.
 func TestChaosBreakerTripTraceSequence(t *testing.T) {
 	var target atomic.Int32
 	target.Store(-1)
@@ -115,10 +119,12 @@ func TestChaosBreakerTripTraceSequence(t *testing.T) {
 
 	// The trace emits the plan-flip event just after installing the plan the
 	// loop above observed; give the control goroutine a beat to get there.
-	var idxNack, idxOpen, idxCut, idxFlip int
+	var events []obsv.Event
+	var idxNack, idxOpen, idxFlip int
 	deadline = time.Now().Add(2 * time.Second)
 	for {
-		idxNack, idxOpen, idxCut, idxFlip = scanDegradeSequence(pubTrace.Snapshot(), tgt)
+		events = pubTrace.Snapshot()
+		idxNack, idxOpen, idxFlip = scanDegradeSequence(events, tgt)
 		if idxFlip >= 0 || time.Now().After(deadline) {
 			break
 		}
@@ -130,11 +136,19 @@ func TestChaosBreakerTripTraceSequence(t *testing.T) {
 	if idxOpen < 0 {
 		t.Fatalf("trace has no breaker-open after the first nack-recv (nack at %d)", idxNack)
 	}
-	if idxCut < 0 {
-		t.Fatalf("trace has no min-cut after the breaker opened (open at %d)", idxOpen)
-	}
 	if idxFlip < 0 {
-		t.Fatalf("trace has no plan-flip after the degrade min-cut (cut at %d)", idxCut)
+		t.Fatalf("trace has no plan-flip after the breaker opened (open at %d)", idxOpen)
+	}
+	if split := flipSplit(t, events[idxFlip]); splitHas(split, tgt) {
+		t.Fatalf("plan-flip after the breaker opened splits at %v, which holds the poisoned PSE %d", split, tgt)
+	}
+	if pubTrace.Dropped() > 0 {
+		t.Fatalf("publisher trace ring dropped %d events; the min-cut check needs them all", pubTrace.Dropped())
+	}
+	for _, ev := range events {
+		if ev.Kind == obsv.EvMinCut {
+			t.Fatalf("publisher trace holds a min-cut event: %+v", ev)
+		}
 	}
 
 	// Subscriber side: the quarantine leaves a matched nack-sent +
@@ -163,11 +177,10 @@ func TestChaosBreakerTripTraceSequence(t *testing.T) {
 }
 
 // scanDegradeSequence finds the first causal chain
-// nack-recv → breaker open → min-cut → plan-flip for the PSE in the
-// publisher's trace, returning the index of each link (-1 when the chain
-// breaks there).
-func scanDegradeSequence(events []obsv.Event, pse int32) (idxNack, idxOpen, idxCut, idxFlip int) {
-	idxNack, idxOpen, idxCut, idxFlip = -1, -1, -1, -1
+// nack-recv → breaker open → plan-flip for the PSE in the publisher's
+// trace, returning the index of each link (-1 when the chain breaks there).
+func scanDegradeSequence(events []obsv.Event, pse int32) (idxNack, idxOpen, idxFlip int) {
+	idxNack, idxOpen, idxFlip = -1, -1, -1
 	for i, ev := range events {
 		switch {
 		case idxNack < 0:
@@ -178,15 +191,30 @@ func scanDegradeSequence(events []obsv.Event, pse int32) (idxNack, idxOpen, idxC
 			if ev.Kind == obsv.EvBreaker && ev.PSE == pse && ev.Detail == "open" {
 				idxOpen = i
 			}
-		case idxCut < 0:
-			if ev.Kind == obsv.EvMinCut {
-				idxCut = i
-			}
 		case idxFlip < 0:
 			if ev.Kind == obsv.EvPlanFlip {
 				idxFlip = i
 			}
 		}
 	}
-	return idxNack, idxOpen, idxCut, idxFlip
+	return idxNack, idxOpen, idxFlip
+}
+
+// flipSplit parses the split set out of a plan-flip event's
+// "split=[1 3]" detail.
+func flipSplit(t *testing.T, ev obsv.Event) []int32 {
+	t.Helper()
+	inner, ok := strings.CutPrefix(ev.Detail, "split=[")
+	if !ok || !strings.HasSuffix(inner, "]") {
+		t.Fatalf("plan-flip detail %q, want split=[...]", ev.Detail)
+	}
+	var split []int32
+	for _, f := range strings.Fields(strings.TrimSuffix(inner, "]")) {
+		id, err := strconv.ParseInt(f, 10, 32)
+		if err != nil {
+			t.Fatalf("plan-flip detail %q: %v", ev.Detail, err)
+		}
+		split = append(split, int32(id))
+	}
+	return split
 }

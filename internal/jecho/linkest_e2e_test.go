@@ -99,20 +99,21 @@ func linkOf(ep obsv.EndpointStatus) *obsv.LinkStatus {
 	return ep.Channels[0].Link
 }
 
-// TestLinkEstimationEndToEnd runs a publisher and subscriber with link
-// estimation enabled over a link with injected latency, and requires that
-// BOTH sides accumulate echo-derived RTT samples and surface them through
-// Status and Collect. The injected one-way delay is 2ms, so a correct
-// estimator must report an RTT comfortably above zero.
+// TestLinkEstimationEndToEnd runs a subscriber with link estimation
+// enabled over a link with injected latency, and requires that it
+// accumulates echo-derived RTT samples and surfaces them through Status and
+// Collect. The injected one-way delay is 2ms, so a correct estimator must
+// report an RTT comfortably above zero. Only the subscriber selects plans,
+// so only it estimates the link: the publisher reflects its probes and
+// reports no link state and no link or Pareto samples of its own.
 func TestLinkEstimationEndToEnd(t *testing.T) {
 	tr := newLatTransport(transport.NewMem())
 	tr.SetDelay(2 * time.Millisecond)
 	pub := chaosPublisher(t, tr, jecho.PublisherConfig{
-		FeedbackEvery:        5,
-		HeartbeatInterval:    15 * time.Millisecond,
-		HeartbeatMisses:      20,
-		WriteTimeout:         time.Second,
-		LinkEstimateInterval: 10 * time.Millisecond,
+		FeedbackEvery:     5,
+		HeartbeatInterval: 15 * time.Millisecond,
+		HeartbeatMisses:   20,
+		WriteTimeout:      time.Second,
 	})
 	sub := chaosSubscribe(t, tr, pub.Addr(), jecho.SubscriberConfig{
 		Name:                 "linkest",
@@ -132,16 +133,14 @@ func TestLinkEstimationEndToEnd(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	var pubLink, subLink *obsv.LinkStatus
+	var subLink *obsv.LinkStatus
 	for {
-		pubLink = linkOf(pub.Status())
 		subLink = linkOf(sub.Status())
-		if pubLink != nil && subLink != nil &&
-			pubLink.RTTSamples >= 3 && subLink.RTTSamples >= 3 {
+		if subLink != nil && subLink.RTTSamples >= 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("link estimate never warmed: publisher=%+v subscriber=%+v", pubLink, subLink)
+			t.Fatalf("link estimate never warmed: subscriber=%+v", subLink)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -151,34 +150,42 @@ func TestLinkEstimationEndToEnd(t *testing.T) {
 	if subLink.RTTMS < 1 {
 		t.Errorf("subscriber RTT estimate = %.3fms, want >= 1ms with 2ms injected delay", subLink.RTTMS)
 	}
-	if pubLink.RTTMS < 1 {
-		t.Errorf("publisher RTT estimate = %.3fms, want >= 1ms with 2ms injected delay", pubLink.RTTMS)
-	}
 	if subLink.BandwidthSamples == 0 {
 		t.Error("subscriber metered no bandwidth samples despite traffic")
 	}
 
-	// The gauges must reach the metrics surface on both roles.
-	for _, c := range []struct {
-		role    string
-		collect func(func(obsv.Sample))
-	}{
-		{"publisher", pub.Collect},
-		{"subscriber", sub.Collect},
-	} {
-		var rtt, bw bool
-		c.collect(func(s obsv.Sample) {
-			switch s.Name {
-			case "methodpart_link_rtt_ms":
-				rtt = s.Value > 0
-			case "methodpart_link_bandwidth_bps":
-				bw = true
-			}
-		})
-		if !rtt || !bw {
-			t.Errorf("%s Collect: link gauges missing or zero (rtt>0=%v, bandwidth present=%v)", c.role, rtt, bw)
+	// The gauges must reach the subscriber's metrics surface.
+	var rtt, bw bool
+	sub.Collect(func(s obsv.Sample) {
+		switch s.Name {
+		case "methodpart_link_rtt_ms":
+			rtt = s.Value > 0
+		case "methodpart_link_bandwidth_bps":
+			bw = true
+		}
+	})
+	if !rtt || !bw {
+		t.Errorf("subscriber Collect: link gauges missing or zero (rtt>0=%v, bandwidth present=%v)", rtt, bw)
+	}
+
+	// The publisher estimates nothing: no link state, no link or Pareto
+	// samples.
+	st := pub.Status()
+	if len(st.Channels) != 1 {
+		t.Fatalf("publisher status has %d channels, want 1", len(st.Channels))
+	}
+	for i, ch := range st.Channels {
+		if ch.Link != nil {
+			t.Errorf("publisher Status().Channels[%d].Link = %+v, want nil", i, ch.Link)
 		}
 	}
+	pub.Collect(func(s obsv.Sample) {
+		switch s.Name {
+		case "methodpart_link_rtt_ms", "methodpart_link_bandwidth_bps",
+			"methodpart_pareto_front_size", "methodpart_policy_flips_total", "methodpart_flips_suppressed_total":
+			t.Errorf("publisher Collect emitted %s%v", s.Name, s.Labels)
+		}
+	})
 }
 
 // TestResubscribeResetsLinkEstimate is the regression test for estimator
@@ -191,12 +198,10 @@ func TestLinkEstimationEndToEnd(t *testing.T) {
 func TestResubscribeResetsLinkEstimate(t *testing.T) {
 	tr := newLatTransport(transport.NewMem())
 	pub := chaosPublisher(t, tr, jecho.PublisherConfig{
-		FeedbackEvery:        5,
-		HeartbeatInterval:    10 * time.Millisecond,
-		HeartbeatMisses:      5,
-		WriteTimeout:         time.Second,
-		LinkEstimateInterval: 10 * time.Millisecond,
-		LinkEstimateHalfLife: 60 * time.Second,
+		FeedbackEvery:     5,
+		HeartbeatInterval: 10 * time.Millisecond,
+		HeartbeatMisses:   5,
+		WriteTimeout:      time.Second,
 	})
 	sub := chaosSubscribe(t, tr, pub.Addr(), jecho.SubscriberConfig{
 		Name:                 "linkest-reset",

@@ -485,18 +485,18 @@ func minCutStatus(u *reconfig.Unit) *obsv.MinCutStatus {
 	return ms
 }
 
-// emitParetoSamples renders one reconfiguration unit's Pareto-selection
-// metrics: the size of the last front (gauge; 1 means a degenerate front
-// where every policy collapses to the same plan) and the cumulative count
-// of selections whose chosen cut changed, labelled by the active policy.
+// emitParetoSamples renders the subscriber's Pareto-selection metrics:
+// the size of the last front (gauge; 1 means a degenerate front where
+// every policy collapses to the same plan) and the cumulative count of
+// selections whose chosen cut changed, labelled by the active policy.
 // No-op before the unit's first selection.
-func emitParetoSamples(emit func(obsv.Sample), role, channel, sub string, u *reconfig.Unit) {
+func emitParetoSamples(emit func(obsv.Sample), channel, sub string, u *reconfig.Unit) {
 	ex := u.LastExplanation()
 	if ex == nil {
 		return
 	}
 	labels := []obsv.Label{
-		{Name: "role", Value: role},
+		{Name: "role", Value: "subscriber"},
 		{Name: "channel", Value: channel},
 		{Name: "sub", Value: sub},
 	}
@@ -520,17 +520,17 @@ func emitParetoSamples(emit func(obsv.Sample), role, channel, sub string, u *rec
 	})
 }
 
-// emitLinkSamples renders one subscription's live link estimate: the
+// emitLinkSamples renders the subscriber's live link estimate: the
 // smoothed RTT and effective bandwidth feeding the reconfiguration unit.
 // No-op when link estimation is disabled. An estimator whose RTT gauge
 // sits at 0 while heartbeats flow is broken (or the peer cannot echo).
-func emitLinkSamples(emit func(obsv.Sample), role, channel, sub string, link *linkest.Estimator) {
+func emitLinkSamples(emit func(obsv.Sample), channel, sub string, link *linkest.Estimator) {
 	if link == nil {
 		return
 	}
 	snap := link.Snapshot()
 	labels := []obsv.Label{
-		{Name: "role", Value: role},
+		{Name: "role", Value: "subscriber"},
 		{Name: "channel", Value: channel},
 		{Name: "sub", Value: sub},
 	}
@@ -610,8 +610,6 @@ func (p *Publisher) Collect(emit func(obsv.Sample)) {
 			continue
 		}
 		emitChannelSamples(emit, "publisher", s.channel, s.id, s.metrics.snapshot(), c.hists, s.pipe.batch.hists)
-		emitParetoSamples(emit, "publisher", s.channel, s.id, s.runit)
-		emitLinkSamples(emit, "publisher", s.channel, s.id, s.link)
 		if s.rel != nil {
 			if occ := s.rel.occupancy.Snapshot(); occ.Count > 0 {
 				emit(obsv.Sample{
@@ -631,8 +629,9 @@ func (p *Publisher) Collect(emit func(obsv.Sample)) {
 
 // Status snapshots the publisher for /debug/split: one ChannelStatus per
 // live subscription with its plan, UG/PSE table (from the subscription's
-// plan-equivalence class), breaker states and the last degrade min-cut (if
-// one ran), plus the publisher-level class-sharing figures.
+// plan-equivalence class) and breaker states, plus the publisher-level
+// class-sharing figures. Plan selection and link estimation run only at the
+// subscriber, so LastMinCut and Link stay nil here.
 func (p *Publisher) Status() obsv.EndpointStatus {
 	subs := p.reg.snapshot()
 	ep := obsv.EndpointStatus{
@@ -657,8 +656,6 @@ func (p *Publisher) Status() obsv.EndpointStatus {
 			Metrics:     counterMap(s.metrics.snapshot()),
 			PSEs:        pseStatusTable(s.compiled, plan, c.coll.Snapshot()),
 			Breakers:    s.breaker.statusBreakers(),
-			LastMinCut:  minCutStatus(s.runit),
-			Link:        linkStatus(s.link),
 		}
 		ep.Channels = append(ep.Channels, cs)
 	}
@@ -670,8 +667,8 @@ func (p *Publisher) Status() obsv.EndpointStatus {
 // loop, labelled {role="subscriber", channel, sub}.
 func (s *Subscriber) Collect(emit func(obsv.Sample)) {
 	emitChannelSamples(emit, "subscriber", s.cfg.Channel, s.cfg.Name, s.metrics.snapshot(), s.hists, nil)
-	emitParetoSamples(emit, "subscriber", s.cfg.Channel, s.cfg.Name, s.runit)
-	emitLinkSamples(emit, "subscriber", s.cfg.Channel, s.cfg.Name, s.link)
+	emitParetoSamples(emit, s.cfg.Channel, s.cfg.Name, s.runit)
+	emitLinkSamples(emit, s.cfg.Channel, s.cfg.Name, s.link)
 }
 
 // Status snapshots the subscriber for /debug/split: its profile plan,

@@ -137,13 +137,6 @@ type sendPipeline struct {
 	// write error, before the sender exits; the publisher retires the
 	// subscription there.
 	failed func(error)
-
-	// probe, when set, supplies the Seq of each idle heartbeat, minting it
-	// from the subscription's shared probe counter and registering its send
-	// time with the link estimator — so heartbeat echoes resolve RTT
-	// samples and never collide with the echo-reply probes the control
-	// loop mints from the same counter. Nil keeps the private hbSeq.
-	probe func() uint64
 }
 
 // queuedFrame is one outbound queue slot: the refcounted event frame plus,
@@ -540,15 +533,9 @@ func (p *sendPipeline) declareSkip(from, to uint64) bool {
 }
 
 func (p *sendPipeline) writeHeartbeat() bool {
-	var seq uint64
-	if p.probe != nil {
-		seq = p.probe()
-	} else {
-		p.hbSeq++
-		seq = p.hbSeq
-	}
+	p.hbSeq++
 	var err error
-	p.hbBuf, err = wire.AppendMarshal(p.hbBuf[:0], &wire.Heartbeat{Seq: seq})
+	p.hbBuf, err = wire.AppendMarshal(p.hbBuf[:0], &wire.Heartbeat{Seq: p.hbSeq})
 	if err != nil {
 		return true // cannot happen; never kill the sender for it
 	}

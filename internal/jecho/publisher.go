@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"methodpart/internal/costmodel"
-	"methodpart/internal/linkest"
 	"methodpart/internal/mir"
 	"methodpart/internal/mir/interp"
 	"methodpart/internal/obsv"
@@ -36,9 +34,6 @@ type PublisherConfig struct {
 	// FeedbackEvery is the sender-side profiling report period in
 	// messages (0 = 10).
 	FeedbackEvery uint64
-	// ProfileSampleEvery applies §2.5's periodic profiling sampling to
-	// every modulator: >1 profiles only each Nth message (0/1 = all).
-	ProfileSampleEvery uint64
 	// QueueDepth bounds each subscription's outbound send queue
 	// (0 = DefaultQueueDepth).
 	QueueDepth int
@@ -90,36 +85,8 @@ type PublisherConfig struct {
 	// half-open probe re-admits it (0 = DefaultBreakerCooldown,
 	// <0 disables).
 	BreakerCooldown time.Duration
-	// SplitPolicy is the SLO policy the per-subscription degrade units use
-	// when a breaker trip forces a local plan re-selection: which Pareto
-	// operating point the replacement plan takes. The zero value
-	// (reconfig.Balanced) keeps the legacy scalar min-cut. Routine,
-	// cost-optimal selection remains the subscriber's job (see
-	// SubscriberConfig.SplitPolicy); this knob only shapes degraded plans.
-	SplitPolicy reconfig.SLOPolicy
-	// LinkEstimateInterval enables per-subscription link estimation when
-	// > 0: the publisher measures RTT from heartbeat echoes (its idle
-	// heartbeats and echo replies double as probes; subscribers reflect
-	// them) and effective bandwidth from the send path's bytes-on-wire
-	// over wall time, and refreshes the degrade unit's environment at this
-	// period so breaker-forced plan re-selections price against the
-	// measured link. 0 (the default) keeps the neutral environment.
-	LinkEstimateInterval time.Duration
-	// LinkEstimateHalfLife is the estimator's EWMA half-life
-	// (0 = linkest.DefaultHalfLife).
-	LinkEstimateHalfLife time.Duration
-	// LinkWarmupSamples is how many samples each measured axis needs
-	// before it overrides the neutral environment
-	// (0 = linkest.DefaultMinSamples).
-	LinkWarmupSamples int
-	// FlipMargin enables plan-flip hysteresis on the degrade units when
-	// > 0 (see SubscriberConfig.FlipMargin). 0 disables.
-	FlipMargin float64
-	// FlipConfirmations is the hysteresis confirmation count
-	// (0 = reconfig.DefaultFlipConfirmations).
-	FlipConfirmations int
 	// Tracer receives split-lifecycle trace events (publish, suppress,
-	// NACKs, breaker transitions, min-cut runs, plan flips). Nil — the
+	// NACKs, breaker transitions, plan flips). Nil — the
 	// default — disables tracing at zero per-event cost; per-PSE
 	// histograms (see Collect) are always on.
 	Tracer *obsv.Tracer
@@ -206,13 +173,6 @@ type subscription struct {
 	// breaker gates split-set eligibility per PSE from this subscription's
 	// failure stream (NACKs from the subscriber, local modulation faults).
 	breaker *pseBreaker
-	// runit recomputes a degraded plan locally when the breaker trips —
-	// the publisher cannot wait for the subscriber's next plan push while
-	// every event at a poisoned PSE is failing.
-	runit *reconfig.Unit
-	// degradeMu serializes runit access between the control-read goroutine
-	// (NACK handling) and publish goroutines (modulation faults).
-	degradeMu sync.Mutex
 
 	// class is the subscription's current plan-equivalence class. Written
 	// only under classIndex.mu (join/migrate/retire); nil once retired.
@@ -229,26 +189,11 @@ type subscription struct {
 	// best-effort members still share one modulation and one frame.
 	rel *relState
 
-	// link measures this subscription's live RTT/bandwidth (nil when link
-	// estimation is disabled); probeSeq mints probe sequence numbers shared
-	// by the pipeline's idle heartbeats and the control loop's echo
-	// replies, so an echo always resolves the probe it answers.
-	link     *linkest.Estimator
-	probeSeq atomic.Uint64
-	// lastEnvPub paces environment publishes into the degrade unit.
-	// Control-goroutine only.
-	lastEnvPub time.Time
-
+	// retiring is set as retire begins, before it closes the connection:
+	// a send failing after that is the publisher's own teardown, not a
+	// peer error, and is not logged.
+	retiring   atomic.Bool
 	retireOnce sync.Once
-}
-
-// nextProbe mints the next probe seq and registers its send time with the
-// estimator. Safe from both the control goroutine (echo replies) and the
-// sender goroutine (idle heartbeats).
-func (s *subscription) nextProbe() uint64 {
-	seq := s.probeSeq.Add(1)
-	s.link.Probe(seq)
-	return seq
 }
 
 // NewPublisher starts listening and accepting subscriptions.
@@ -443,7 +388,6 @@ func (p *Publisher) newClassLocked(key classKey, s *subscription, plan *partitio
 	mod := partition.NewModulator(s.compiled, s.env)
 	coll := profileunit.NewCollector(s.compiled.NumPSEs())
 	mod.Probe = coll
-	mod.SampleEvery = p.cfg.ProfileSampleEvery
 	mod.SetPlan(plan)
 	return &planClass{
 		key:      key,
@@ -522,10 +466,19 @@ func (p *Publisher) installPlan(s *subscription, plan *partition.Plan) error {
 		return fmt.Errorf("partition: %w: v%d not past active v%d",
 			partition.ErrStalePlan, plan.Version(), active)
 	}
+	p.migrateLocked(s, cur, plan)
+	return nil
+}
+
+// migrateLocked moves s from its class cur to the class of plan. A plan
+// whose behaviour equals the active one only advances the version. Caller
+// holds classes.mu.
+func (p *Publisher) migrateLocked(s *subscription, cur *planClass, plan *partition.Plan) {
 	if classKeyFor(s, plan) == cur.key {
 		s.planVersion.Store(plan.Version())
-		return nil
+		return
 	}
+	x := &p.classes
 	var inherit *planClass
 	if removeMemberLocked(cur, s) == 0 {
 		delete(x.classes, cur.key)
@@ -533,7 +486,6 @@ func (p *Publisher) installPlan(s *subscription, plan *partition.Plan) error {
 	}
 	p.joinClassLocked(s, plan, inherit)
 	x.rebuildLocked()
-	return nil
 }
 
 // refusePlan records that a subscriber-pushed plan was not installed (stale,
@@ -559,6 +511,7 @@ func (p *Publisher) refusePlan(s *subscription, version uint64) {
 // happened to notice.
 func (p *Publisher) retire(s *subscription) {
 	s.retireOnce.Do(func() {
+		s.retiring.Store(true)
 		p.reg.remove(s.id)
 		x := &p.classes
 		x.mu.Lock()
@@ -636,16 +589,6 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		trigger:  &profileunit.RateTrigger{EveryMessages: p.cfg.FeedbackEvery},
 		metrics:  metrics,
 		breaker:  resolveBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerWindow, p.cfg.BreakerCooldown),
-		// The degrade unit routes around broken PSEs; cost optimality is
-		// the subscriber's reconfiguration unit's job, so a neutral
-		// environment suffices here.
-		runit: newPolicyUnit(compiled, costmodel.DefaultEnvironment(), p.cfg.SplitPolicy, p.cfg.FlipMargin, p.cfg.FlipConfirmations),
-	}
-	if p.cfg.LinkEstimateInterval > 0 {
-		sub.link = linkest.New(linkest.Config{
-			HalfLife:   p.cfg.LinkEstimateHalfLife,
-			MinSamples: p.cfg.LinkWarmupSamples,
-		})
 	}
 	var batch batchConfig
 	if p.cfg.BatchBytes > 0 {
@@ -688,7 +631,9 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	}
 	sub.pipe = newSendPipeline(conn, p.cfg.QueueDepth, p.cfg.OverflowPolicy, p.sup, batch, metrics,
 		func(err error) {
-			p.cfg.Logf("jecho publisher: sub %s send: %v; retiring", sub.id, err)
+			if !sub.retiring.Load() {
+				p.cfg.Logf("jecho publisher: sub %s send: %v; retiring", sub.id, err)
+			}
 			p.retire(sub)
 		})
 	if reliable {
@@ -698,11 +643,6 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		// frame it writes Lost.
 		sub.pipe.lastSeq = sub.rel.resumeFrom(subMsg.ResumeSeq, subMsg.ResumeEpoch)
 		sub.pipe.lostFn = func(from, to uint64) { p.countLost(sub, from, to) }
-	}
-	if sub.link != nil {
-		// Idle heartbeats double as RTT probes: the subscriber echoes
-		// their Seq back through the control loop.
-		sub.pipe.probe = sub.nextProbe
 	}
 
 	// Registration: id assignment, registry insert and the initial class
@@ -780,26 +720,9 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 				metrics.acksRecv.Add(1)
 				p.handleAck(sub, m.AckSeq)
 			}
-			if m.HasEcho && sub.link != nil {
-				sub.link.Echo(m.EchoSeq)
-			}
 			if m.Seq > 0 {
-				// Reflect the subscriber's probe; when estimating, ride our
-				// own probe on the reply so this side samples RTT too.
+				// Reflect the subscriber's probe so it can sample RTT.
 				p.echoHeartbeat(sub, m.Seq)
-			}
-			if sub.link != nil {
-				// Effective bandwidth: the send path's cumulative bytes on
-				// the wire sampled over wall time, paced by the peer's
-				// heartbeats (single control goroutine, so lastEnvPub needs
-				// no lock).
-				sub.link.ObserveBytes(metrics.bytesOnWire.Load() + metrics.controlBytes.Load())
-				if now := time.Now(); now.Sub(sub.lastEnvPub) >= p.cfg.LinkEstimateInterval {
-					sub.lastEnvPub = now
-					if env, measured := sub.link.Environment(costmodel.DefaultEnvironment()); measured {
-						sub.runit.SetEnvironment(env)
-					}
-				}
 			}
 		case *wire.Ack:
 			metrics.acksRecv.Add(1)
@@ -866,16 +789,10 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 }
 
 // echoHeartbeat reflects a subscriber heartbeat's Seq back so the peer can
-// close its RTT sample on its own clock. When this side estimates too, the
-// reply doubles as our probe: its Seq (minted from the shared probe
-// counter) gets echoed back by the subscriber in turn. A reply without a
-// probe carries Seq 0, which the peer never echoes — the anti-loop rule.
+// close its RTT sample on its own clock. The reply carries Seq 0, which the
+// peer never echoes — the anti-loop rule.
 func (p *Publisher) echoHeartbeat(s *subscription, seq uint64) {
-	hb := &wire.Heartbeat{HasEcho: true, EchoSeq: seq}
-	if s.link != nil {
-		hb.Seq = s.nextProbe()
-	}
-	data, err := wire.Marshal(hb)
+	data, err := wire.Marshal(&wire.Heartbeat{HasEcho: true, EchoSeq: seq})
 	if err != nil {
 		return
 	}
@@ -950,50 +867,55 @@ func blockedSplit(b *pseBreaker, split []int32) int32 {
 	return -1
 }
 
-// degrade recomputes one subscription's plan with the breaker's exclusions
-// applied and installs it sender-side: the min-cut gives tripped PSEs
-// effectively infinite capacity, so the flow routes to an adjacent healthy
-// PSE or all the way back to raw delivery. The subscriber learns of the
-// exclusion through the failure counts in the next feedback frame — which
-// also carries the forced plan version, so its reconfiguration unit's
-// counter skips past the degraded plan instead of emitting stale versions —
-// and until its own plans avoid the PSE, the interception in handleConn
-// keeps them from reinstalling it.
+// degrade installs the breaker's fallback plan sender-side: the deepest
+// cut of the handler's cut table that avoids every open PSE (fallbackCut),
+// profiling every PSE as the subscriber's plans do. Nothing is priced;
+// choosing the best healthy cut stays the subscriber's job. Its version is
+// forced one past the subscription's active plan, and the next feedback
+// frame carries it: the subscriber's unit skips past it, sees the
+// publisher diverged from its last push and re-pushes its own choice.
+// blockedSplit refuses that push while it crosses an open PSE.
 //
-// Installation goes through installPlan, so the breaker-forced flip is an
-// atomic class migration: a concurrent subscriber plan push either lands
-// before (and the degrade's forced version supersedes it) or after (and
-// installPlan rejects the degrade as stale — acceptable, because the open
-// breaker still blocks the poisoned PSE via blockedSplit and the next
-// fault re-triggers the degrade).
+// The scan and the install run under the class-index mutex, so concurrent
+// degrades (a NACK on the control goroutine, a modulation fault on a
+// publish goroutine) serialize: each reads the breaker after the one
+// before installed, and forces its version past that one's.
 func (p *Publisher) degrade(s *subscription) {
-	s.degradeMu.Lock()
-	defer s.degradeMu.Unlock()
+	t := s.compiled.CutTable(reconfig.DefaultMaxCandidates)
+	x := &p.classes
+	x.mu.Lock()
 	c := s.class.Load()
 	if c == nil {
+		x.mu.Unlock()
 		return
 	}
-	s.runit.SetTripped(s.breaker.OpenIDs())
-	_, wirePlan, err := s.runit.SelectPlan(c.coll.Snapshot())
+	tmpl, err := t.Plan(fallbackCut(t, s.breaker), true)
 	if err != nil {
-		p.cfg.Logf("jecho publisher: sub %s degrade: %v", s.id, err)
-		return
-	}
-	traceMinCut(p.cfg.Tracer, s.channel, s.id, s.runit)
-	// The degrade unit's version counter is private; force the version past
-	// the subscription's active plan so installPlan cannot reject the
-	// degraded plan as stale.
-	cur := c.mod.Plan()
-	version := max(s.planVersion.Load()+1, wirePlan.Version)
-	plan, err := partition.NewPlan(s.compiled.NumPSEs(), version, wirePlan.Split, wirePlan.Profile)
-	if err != nil {
+		x.mu.Unlock()
 		p.cfg.Logf("jecho publisher: sub %s degrade plan: %v", s.id, err)
 		return
 	}
-	if p.installPlan(s, plan) == nil && !partition.EqualCut(cur.SplitIDs(), plan.SplitIDs()) {
+	before := c.mod.Plan().SplitIDs()
+	plan := tmpl.WithVersion(s.planVersion.Load() + 1)
+	p.migrateLocked(s, c, plan)
+	x.mu.Unlock()
+	if !partition.EqualCut(before, plan.SplitIDs()) {
 		s.metrics.planFlips.Add(1)
 		tracePlanFlip(p.cfg.Tracer, s.channel, s.id, plan.Version(), plan.SplitIDs())
 	}
+}
+
+// fallbackCut returns the index in t of the breaker fallback: the deepest
+// cut, the last in the table's BFS order, that is valid and crosses no PSE
+// whose breaker is open. When no cut qualifies it returns 0, the raw cut —
+// the degradation floor, even when raw itself is open.
+func fallbackCut(t *partition.CutTable, b *pseBreaker) int {
+	for i := len(t.Cuts) - 1; i > 0; i-- {
+		if t.Valid(i) && blockedSplit(b, t.Cuts[i]) < 0 {
+			return i
+		}
+	}
+	return 0
 }
 
 // Publish pushes one event through every plan-equivalence class (all

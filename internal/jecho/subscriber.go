@@ -112,10 +112,6 @@ type SubscriberConfig struct {
 	// LinkEstimateHalfLife is the estimator's EWMA half-life
 	// (0 = linkest.DefaultHalfLife).
 	LinkEstimateHalfLife time.Duration
-	// LinkWarmupSamples is how many samples each measured axis needs
-	// before it overrides the configured Environment
-	// (0 = linkest.DefaultMinSamples).
-	LinkWarmupSamples int
 	// FlipMargin enables plan-flip hysteresis when > 0: a challenger cut
 	// must beat the incumbent on the policy's primary objective by this
 	// fraction (e.g. 0.1 = 10%) for FlipConfirmations consecutive
@@ -308,10 +304,7 @@ func Subscribe(cfg SubscriberConfig) (*Subscriber, error) {
 		s.rel = newRelReceiver(cfg.AckEvery)
 	}
 	if cfg.LinkEstimateInterval > 0 {
-		s.link = linkest.New(linkest.Config{
-			HalfLife:   cfg.LinkEstimateHalfLife,
-			MinSamples: cfg.LinkWarmupSamples,
-		})
+		s.link = linkest.New(linkest.Config{HalfLife: cfg.LinkEstimateHalfLife})
 	}
 	if cfg.Tracer != nil {
 		s.breaker.observeTransitions(breakerObserver(cfg.Tracer, cfg.Channel, func() string { return cfg.Name }))
@@ -734,9 +727,10 @@ func (s *Subscriber) readLoop(conn transport.Conn) error {
 				s.link.Echo(m.EchoSeq)
 			}
 			if m.Seq > 0 {
-				// Reflect the publisher's probe so it can measure RTT on
-				// its own clock. Pure echoes carry Seq 0, so two endpoints
-				// never echo each other's echoes.
+				// Reflect the publisher's heartbeat. The publisher estimates
+				// no link, so the echo only counts as traffic in its silence
+				// window. Pure echoes carry Seq 0, so two endpoints never
+				// echo each other's echoes.
 				s.sendEcho(m.Seq)
 			}
 		default:
@@ -934,8 +928,7 @@ func (s *Subscriber) sendAck(seq uint64) {
 }
 
 // sendEcho reflects a publisher heartbeat's Seq back as a pure echo
-// (Seq 0, so the publisher never echoes it in turn), closing the
-// publisher's RTT sample.
+// (Seq 0, so the publisher never echoes it in turn).
 func (s *Subscriber) sendEcho(seq uint64) {
 	data, err := wire.Marshal(&wire.Heartbeat{HasEcho: true, EchoSeq: seq})
 	if err != nil {

@@ -123,9 +123,9 @@ type (
 	// ReconfigUnit is the Runtime Reconfiguration Unit.
 	ReconfigUnit = reconfig.Unit
 	// SLOPolicy selects the operating point on the Pareto front of
-	// candidate cuts a plan selection takes (the SplitPolicy knob of
-	// PublisherConfig/SubscriberConfig). The zero value, Balanced, is the
-	// legacy scalar min-cut.
+	// candidate cuts a plan selection takes (SubscriberConfig's
+	// SplitPolicy knob). The zero value, Balanced, is the legacy scalar
+	// min-cut.
 	SLOPolicy = reconfig.SLOPolicy
 	// CostVector is the multi-objective cost of one candidate cut.
 	CostVector = costmodel.Vector
