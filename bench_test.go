@@ -12,7 +12,6 @@ import (
 	"methodpart"
 	"methodpart/internal/bench"
 	"methodpart/internal/costmodel"
-	"methodpart/internal/mir"
 	"methodpart/internal/mir/interp"
 	"methodpart/internal/partition"
 	"methodpart/internal/profileunit"
@@ -255,15 +254,25 @@ func BenchmarkModulatorProcess(b *testing.B) {
 	}
 }
 
+// imageContinuation is a continuation carrying a 64x64 image in its one
+// slot, laid out under the push handler's schema.
+func imageContinuation(b *testing.B) (*wire.Continuation, *wire.Schema) {
+	classes, err := testprog.PushUnit().ClassTable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := wire.NewSchema(classes)
+	return &wire.Continuation{
+		PSEID:  2,
+		Vars:   []wire.Slot{wire.ValueSlot(testprog.NewImageData(64, 64))},
+		Schema: schema,
+	}, schema
+}
+
 // BenchmarkContinuationMarshal measures wire encoding of a continuation
 // carrying a 64x64 image.
 func BenchmarkContinuationMarshal(b *testing.B) {
-	cont := &wire.Continuation{
-		Handler:    "push",
-		PSEID:      2,
-		ResumeNode: 3,
-		Vars:       map[string]mir.Value{"r2": mir.Value(testprog.NewImageData(64, 64))},
-	}
+	cont, _ := imageContinuation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data, err := wire.Marshal(cont)
@@ -274,22 +283,23 @@ func BenchmarkContinuationMarshal(b *testing.B) {
 	}
 }
 
-// BenchmarkContinuationUnmarshal measures the demodulator-side decode.
+// BenchmarkContinuationUnmarshal measures the demodulator-side decode:
+// the frame, then its slots against the handler's layout.
 func BenchmarkContinuationUnmarshal(b *testing.B) {
-	cont := &wire.Continuation{
-		Handler:    "push",
-		PSEID:      2,
-		ResumeNode: 3,
-		Vars:       map[string]mir.Value{"r2": mir.Value(testprog.NewImageData(64, 64))},
-	}
+	cont, schema := imageContinuation(b)
 	data, err := wire.Marshal(cont)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
+	slots := make([]wire.Slot, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.Unmarshal(data); err != nil {
+		msg, err := wire.Unmarshal(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if slots, err = msg.(*wire.Continuation).DecodeVars(schema, 1, slots[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,10 +308,11 @@ func BenchmarkContinuationUnmarshal(b *testing.B) {
 // BenchmarkSizeCalculation measures the profiling-path size computation
 // (size only, no serialization) for a 64x64 image event.
 func BenchmarkSizeCalculation(b *testing.B) {
+	_, schema := imageContinuation(b)
 	ev := testprog.NewImageData(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = wire.SizeOf(ev)
+		_ = wire.SizeOf(schema, ev)
 	}
 }
 

@@ -53,7 +53,10 @@ type DriftConfig struct {
 
 // DefaultDriftConfig is the acceptance configuration: the forked-front
 // pareto workload, a 20x mid-run bandwidth collapse, and eight 30ms dips
-// for the jitter arm.
+// for the jitter arm. The pipeline completes a frame about every 90ms, so
+// the dips recur every 910ms rather than 900ms: a period of whole frame
+// cycles would land every dip at the same phase of the cycle, and where
+// that phase finds the link idle no dip is ever observed.
 func DefaultDriftConfig() DriftConfig {
 	img := DefaultParetoConfig()
 	img.Frames = 300
@@ -63,7 +66,7 @@ func DefaultDriftConfig() DriftConfig {
 		DegradeAtMS:        1500,
 		JitterDips:         8,
 		JitterStartMS:      800,
-		JitterPeriodMS:     900,
+		JitterPeriodMS:     910,
 		JitterDipMS:        30,
 		HalfLifeMS:         100,
 		FlipMargin:         0.1,

@@ -55,10 +55,25 @@ func (a sizeLattice) join(b sizeLattice) sizeLattice {
 	}
 }
 
+// Static scalar sizes. A float is 9 bytes on the wire; an int is a varint
+// of 2 to 11, which no static analysis can pin down, so every int is
+// estimated at a float's 9 — the fixed width profiling then corrects.
 const (
 	scalarBoolSize = 2 // tag + bool
 	scalarNumSize  = 9 // tag + 8 bytes
 )
+
+// litSize is the static size of a constant: the scalar estimates above for
+// numbers and bools, the exact encoded size otherwise.
+func litSize(v mir.Value) int64 {
+	switch v.(type) {
+	case mir.Int, mir.Float:
+		return scalarNumSize
+	case mir.Bool:
+		return scalarBoolSize
+	}
+	return wire.SizeOf(nil, v)
+}
 
 // inferSizes computes, for every register, whether its encoded size is
 // statically determinable, via a flow-insensitive fixpoint over all
@@ -106,7 +121,7 @@ func inferSizes(prog *mir.Program, classes *mir.ClassTable) map[string]sizeLatti
 			var out sizeLattice
 			switch in.Op {
 			case mir.OpConst:
-				out = fixedSize(wire.SizeOf(in.Lit))
+				out = fixedSize(litSize(in.Lit))
 			case mir.OpMove, mir.OpCast:
 				out = get(in.Src)
 			case mir.OpBin:

@@ -117,11 +117,11 @@ func TestBatchEntryFaultContainment(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = sub.Close() })
 
-	good1, err := wire.Marshal(&wire.Raw{Handler: imaging.HandlerName, Seq: 1, Event: imaging.NewFrame(8, 8, 1)})
+	good1, err := wire.Marshal(&wire.Raw{Seq: 1, Event: imaging.NewFrame(8, 8, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good2, err := wire.Marshal(&wire.Raw{Handler: imaging.HandlerName, Seq: 2, Event: imaging.NewFrame(8, 8, 2)})
+	good2, err := wire.Marshal(&wire.Raw{Seq: 2, Event: imaging.NewFrame(8, 8, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

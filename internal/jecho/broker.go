@@ -132,7 +132,14 @@ func (b *Broker) serveSource(conn transport.Conn) {
 		b.mu.Lock()
 		b.received++
 		b.mu.Unlock()
-		if _, err := b.pub.Publish(raw.Event); err != nil {
+		// A source compiles no program, so its events arrive in the
+		// tagged form, which decodes without a schema.
+		event, err := raw.DecodeEvent(nil)
+		if err != nil {
+			b.logf("jecho broker: bad upstream event: %v", err)
+			return
+		}
+		if _, err := b.pub.Publish(event); err != nil {
 			b.logf("jecho broker: publish: %v", err)
 		}
 	}
@@ -164,7 +171,7 @@ func (s *Source) Emit(event mir.Value) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.seq++
-	data, err := wire.Marshal(&wire.Raw{Handler: "*", Seq: s.seq, Event: event})
+	data, err := wire.Marshal(&wire.Raw{Seq: s.seq, Event: event})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,14 @@ import (
 	"methodpart/internal/wire"
 )
 
+// overfullContinuation re-encodes cont with more slots than any PSE of the
+// test handlers carries, all absent, keeping its PSE id and seq: the
+// receiver decodes the frame but cannot restore it.
+func overfullContinuation(cont *wire.Continuation) *wire.Continuation {
+	return &wire.Continuation{Seq: cont.Seq, PSEID: cont.PSEID, Forced: cont.Forced,
+		ModWork: cont.ModWork, Vars: make([]wire.Slot, 64)}
+}
+
 // TestChaosPoisonPSEBreakerConverges is the acceptance scenario for the
 // fault-containment layer: converge a channel on its optimal split, then
 // poison that split edge so every continuation crossing it fails
@@ -23,9 +31,9 @@ import (
 func TestChaosPoisonPSEBreakerConverges(t *testing.T) {
 	// target is the PSE whose continuations get corrupted; inactive while
 	// negative. The hook always records observed continuation traffic so
-	// the test can poison an edge events actually cross. Corruption makes
-	// the resume node out of range: an attributable restore fault in a
-	// frame that still decodes (PSE id and seq intact).
+	// the test can poison an edge events actually cross. Corruption gives
+	// the continuation more slots than its PSE carries: an attributable
+	// restore fault in a frame that still decodes (PSE id and seq intact).
 	var target atomic.Int32
 	target.Store(-1)
 	var poisoned atomic.Uint64
@@ -48,8 +56,7 @@ func TestChaosPoisonPSEBreakerConverges(t *testing.T) {
 			if tgt := target.Load(); tgt < 0 || cont.PSEID != tgt {
 				return nil
 			}
-			cont.ResumeNode = 1 << 20
-			data, err := wire.Marshal(cont)
+			data, err := wire.Marshal(overfullContinuation(cont))
 			if err != nil {
 				return nil
 			}

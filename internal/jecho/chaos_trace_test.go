@@ -48,8 +48,7 @@ func TestChaosBreakerTripTraceSequence(t *testing.T) {
 			if tgt := target.Load(); tgt < 0 || cont.PSEID != tgt {
 				return nil
 			}
-			cont.ResumeNode = 1 << 20
-			data, err := wire.Marshal(cont)
+			data, err := wire.Marshal(overfullContinuation(cont))
 			if err != nil {
 				return nil
 			}

@@ -3,6 +3,7 @@ package jecho
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"methodpart/internal/transport"
@@ -107,8 +108,12 @@ type sendPipeline struct {
 	// of the batching path. The transports copy on WriteFrame, so the
 	// buffers (and batched frames' references) are free as soon as it
 	// returns.
-	hbSeq    uint64
-	hbBuf    []byte
+	hbSeq uint64
+	hbBuf []byte
+	// born anchors heard, the monotonic time (since born) the publisher
+	// last read a frame from the peer; see writeHeartbeat.
+	born     time.Time
+	heard    atomic.Int64
 	batchBuf []byte
 	wrapBuf  []byte
 	frames   []queuedFrame
@@ -163,8 +168,12 @@ func newSendPipeline(conn transport.Conn, depth int, policy OverflowPolicy, sup 
 		fbReady: make(chan struct{}, 1),
 		ctrl:    make(chan []byte, 8),
 		failed:  failed,
+		born:    time.Now(),
 	}
 }
+
+// heardFrom records that a frame from the peer just arrived.
+func (p *sendPipeline) heardFrom() { p.heard.Store(int64(time.Since(p.born))) }
 
 // enqueue admits one event frame under the overflow policy, consuming one
 // frame reference on every path. A nil return means the frame was queued
@@ -532,10 +541,18 @@ func (p *sendPipeline) declareSkip(from, to uint64) bool {
 	return true
 }
 
+// writeHeartbeat sends one idle heartbeat. It carries Seq 0, which the
+// peer does not echo, unless the peer has been silent for probeAfter: then
+// it is a probe (Seq > 0) whose echo keeps this end's silence window open
+// for a peer that sends no heartbeats of its own.
 func (p *sendPipeline) writeHeartbeat() bool {
-	p.hbSeq++
+	var seq uint64
+	if p.sup.window > 0 && time.Since(p.born)-time.Duration(p.heard.Load()) >= p.sup.probeAfter() {
+		p.hbSeq++
+		seq = p.hbSeq
+	}
 	var err error
-	p.hbBuf, err = wire.AppendMarshal(p.hbBuf[:0], &wire.Heartbeat{Seq: p.hbSeq})
+	p.hbBuf, err = wire.AppendMarshal(p.hbBuf[:0], &wire.Heartbeat{Seq: seq})
 	if err != nil {
 		return true // cannot happen; never kill the sender for it
 	}

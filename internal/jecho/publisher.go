@@ -705,6 +705,7 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			}
 			break
 		}
+		sub.pipe.heardFrom()
 		msg, err := wire.Unmarshal(frame)
 		if err != nil {
 			// A bad control frame is a per-frame fault: count it and keep
@@ -1024,7 +1025,7 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 	reached := 0
 	var errs []error
 	if out.Suppressed {
-		saved := uint64(wire.SizeOf(event))
+		saved := uint64(out.RawBytes)
 		for _, s := range members {
 			s.metrics.published.Add(1)
 			s.metrics.suppressed.Add(1)
@@ -1046,10 +1047,8 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 			return 0, merr
 		}
 		var saved uint64
-		if out.Cont != nil {
-			if raw := wire.SizeOf(event); raw > int64(frame.Len()) {
-				saved = uint64(raw - int64(frame.Len()))
-			}
+		if out.RawBytes > int64(frame.Len()) {
+			saved = uint64(out.RawBytes - int64(frame.Len()))
 		}
 		// One reference per member; enqueue consumes each one (on the
 		// send, drop and retired paths alike).

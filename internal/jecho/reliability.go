@@ -1,6 +1,7 @@
 package jecho
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,7 +188,15 @@ func (r *relState) stageAndEnqueue(pipe *sendPipeline, f *wire.Frame, m *channel
 	if evicted > 0 {
 		m.ringEvictions.Add(evicted)
 	}
-	return pipe.enqueue(queuedFrame{f: f, seq: seq})
+	if err := pipe.enqueue(queuedFrame{f: f, seq: seq}); !errors.Is(err, errRetired) {
+		return err
+	}
+	// The subscription retired after the frame was staged: the ring holds
+	// it and a resume replays it, so the event did join the stream. This
+	// is the common end of a publish that reveals a gap: its frame reaches
+	// the subscriber, which closes the broken link before the enqueue
+	// returns.
+	return nil
 }
 
 // stage assigns a sequence number and retains f in the ring, evicting the

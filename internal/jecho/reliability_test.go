@@ -492,11 +492,11 @@ func TestRedeliverDeadLetters(t *testing.T) {
 
 	// One letter that demodulates cleanly now (quarantined for a since-fixed
 	// transient), one wrapped in a delivery envelope, one poison forever.
-	good, err := wire.Marshal(&wire.Raw{Handler: imaging.HandlerName, Seq: 1, Event: imaging.NewFrame(16, 16, 1)})
+	good, err := wire.Marshal(&wire.Raw{Seq: 1, Event: imaging.NewFrame(16, 16, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := wire.Marshal(&wire.Raw{Handler: imaging.HandlerName, Seq: 2, Event: imaging.NewFrame(16, 16, 2)})
+	inner, err := wire.Marshal(&wire.Raw{Seq: 2, Event: imaging.NewFrame(16, 16, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

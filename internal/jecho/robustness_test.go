@@ -3,6 +3,8 @@ package jecho_test
 import (
 	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,7 +100,7 @@ func TestBadHandlerSourceRejected(t *testing.T) {
 // to 6 are the retired ones an old peer could still announce; 99 stands for
 // a future one.
 func TestProtocolMismatchRejected(t *testing.T) {
-	for _, proto := range []uint32{3, 4, 5, 6, 99} {
+	for _, proto := range []uint32{3, 4, 5, 6, 7, 99} {
 		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
 			pub := newTestPublisher(t)
 			conn, err := net.Dial("tcp", pub.Addr())
@@ -125,6 +127,54 @@ func TestProtocolMismatchRejected(t *testing.T) {
 				t.Error("mismatched protocol registered a subscription")
 			}
 		})
+	}
+}
+
+// TestRevision7RefusedBeforeCompile: a revision-7 subscriber would read
+// revision 8's compiled event frames as garbage, so the publisher refuses
+// its handshake before compiling its handler. The handler source here
+// does not assemble: compiling it would log a compile error, and the
+// refusal must be the only thing logged.
+func TestRevision7RefusedBeforeCompile(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	reg, _ := imaging.Builtins()
+	pub, err := jecho.NewPublisher(jecho.PublisherConfig{
+		Addr:     "127.0.0.1:0",
+		Builtins: reg,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pub.Close() })
+	conn, err := net.Dial("tcp", pub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	data, err := wire.Marshal(&wire.Subscribe{
+		Protocol: 7, Subscriber: "old", Handler: "f",
+		Source: "this is not assembler", CostModel: "datasize",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteFrame(conn, data); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("connection survived a revision-7 handshake")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logs) != 1 || !strings.Contains(logs[0], "protocol 7") {
+		t.Fatalf("publisher logged %q; want only the protocol refusal", logs)
 	}
 }
 

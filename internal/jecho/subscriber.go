@@ -727,10 +727,10 @@ func (s *Subscriber) readLoop(conn transport.Conn) error {
 				s.link.Echo(m.EchoSeq)
 			}
 			if m.Seq > 0 {
-				// Reflect the publisher's heartbeat. The publisher estimates
-				// no link, so the echo only counts as traffic in its silence
-				// window. Pure echoes carry Seq 0, so two endpoints never
-				// echo each other's echoes.
+				// Reflect the publisher's probe: it sends one only after
+				// this end has been silent for a while, and the echo keeps
+				// its silence window open. Idle heartbeats and pure echoes
+				// carry Seq 0, so they cost no reply.
 				s.sendEcho(m.Seq)
 			}
 		default:

@@ -57,6 +57,14 @@ func resolveSupervision(interval time.Duration, misses int, write time.Duration)
 	return s
 }
 
+// probeAfter is how long a peer may stay silent before this end's idle
+// heartbeats ask it for an echo: half the silence window, but never so
+// late that the echo could miss it — no later than one heartbeat interval
+// before the window closes.
+func (s supervision) probeAfter() time.Duration {
+	return min(s.window/2, s.window-s.interval)
+}
+
 // armRead starts the silence window before a blocking read.
 func (s supervision) armRead(conn transport.Conn) {
 	if s.window > 0 {

@@ -420,6 +420,30 @@ func runStepping(t *testing.T, u *asm.Unit, c diffCase, hook EdgeHook) (Outcome,
 
 // runCompiled executes a case on the compiled engine with the given watch
 // set (nil = watch everything).
+// codeSnapshot reads the named set registers of a compiled machine into a
+// map, the stepping machine's snapshot form.
+func codeSnapshot(m *CodeMachine, names []string) map[string]mir.Value {
+	out := make(map[string]mir.Value, len(names))
+	for _, n := range names {
+		if v, ok := m.Reg(n); ok {
+			out[n] = v
+		}
+	}
+	return out
+}
+
+// restoreMap restores a compiled machine from a stepping machine's
+// snapshot: every named register becomes one slot.
+func restoreMap(code *Code, env *Env, node int, vars map[string]mir.Value) (*CodeMachine, error) {
+	names := make([]string, 0, len(vars))
+	vals := make([]wire.Slot, 0, len(vars))
+	for n, v := range vars {
+		names = append(names, n)
+		vals = append(vals, wire.ValueSlot(v))
+	}
+	return code.Restore(env, node, code.Regs(names), vals)
+}
+
 func runCompiled(t *testing.T, u *asm.Unit, c diffCase, watch []Edge, hook EdgeHook) (Outcome, error, *CodeMachine) {
 	t.Helper()
 	env := diffEnv(t, u, c)
@@ -543,8 +567,9 @@ func TestEngineSplitParity(t *testing.T) {
 			cm.Release()
 			continue
 		}
-		ssnap := sm.Snapshot(prog.Registers())
-		csnap := cm.Snapshot(prog.Registers())
+		names := prog.Registers()
+		ssnap := sm.Snapshot(names)
+		csnap := codeSnapshot(cm, names)
 		if len(ssnap) != len(csnap) {
 			t.Errorf("%s: snapshot sizes %d vs %d", label, len(csnap), len(ssnap))
 		}
@@ -553,27 +578,31 @@ func TestEngineSplitParity(t *testing.T) {
 				t.Errorf("%s: snapshot %q: compiled %v, stepping %v", label, k, cv, sv)
 			}
 		}
-		// LiveSize prices the registers in place exactly as a Sizer
-		// prices the snapshot, on both engines.
+		// AppendSlots hands the registers over in name order, unset ones
+		// as absent slots, and LiveSize prices them in place exactly as a
+		// Sizer prices those slots, on both engines.
+		regs := compileOrDie(t, prog, nil).Regs(names)
+		slots := cm.AppendSlots(nil, regs)
 		var want int64
-		sz := wire.NewSizer()
-		for _, n := range prog.Registers() {
-			if v, ok := ssnap[n]; ok {
-				want += wire.NameSize(n) + sz.Size(v)
+		sz := wire.NewSizer(nil)
+		for i, n := range names {
+			if !mir.Equal(slots[i].Value(), ssnap[n]) {
+				t.Errorf("%s: slot %q = %v, want %v", label, n, slots[i].Value(), ssnap[n])
 			}
+			want += sz.Slot(wire.ValueSlot(ssnap[n]))
 		}
-		if got := sm.LiveSize(prog.Registers(), wire.NewSizer()); got != want {
-			t.Errorf("%s: stepping LiveSize %d, snapshot prices %d", label, got, want)
+		if got := sm.LiveSize(names, wire.NewSizer(nil)); got != want {
+			t.Errorf("%s: stepping LiveSize %d, slots price %d", label, got, want)
 		}
-		if got := cm.LiveSize(prog.Registers(), wire.NewSizer()); got != want {
-			t.Errorf("%s: compiled LiveSize %d, snapshot prices %d", label, got, want)
+		if got := cm.LiveSize(regs, wire.NewSizer(nil)); got != want {
+			t.Errorf("%s: compiled LiveSize %d, slots price %d", label, got, want)
 		}
 		cm.Release()
 
 		// Cross-restore: each engine finishes the other's continuation.
 		code := compileOrDie(t, prog, nil)
 		env := diffEnv(t, u, c)
-		rm, err := code.Restore(env, sout.Split.To, ssnap)
+		rm, err := restoreMap(code, env, sout.Split.To, ssnap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,7 +655,7 @@ func TestRestoreIntoFusedChain(t *testing.T) {
 			continue
 		}
 		snap := sm.Snapshot(prog.Registers())
-		rm, err := code.Restore(diffEnv(t, u, c), sout.Split.To, snap)
+		rm, err := restoreMap(code, diffEnv(t, u, c), sout.Split.To, snap)
 		if err != nil {
 			t.Fatal(err)
 		}

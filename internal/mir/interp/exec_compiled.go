@@ -58,6 +58,39 @@ func (s *slot) set(v mir.Value) {
 	}
 }
 
+// setSlot stores a continuation slot. A decoded slot never holds a boxed
+// scalar in SlotValue, but set re-unboxes one should a caller pass it.
+func (s *slot) setSlot(w wire.Slot) {
+	switch w.Kind {
+	case wire.SlotInt:
+		*s = slot{kind: skInt, i: w.I}
+	case wire.SlotFloat:
+		*s = slot{kind: skFloat, f: w.F}
+	case wire.SlotBool:
+		*s = slot{kind: skBool, i: w.I & 1}
+	case wire.SlotValue:
+		s.set(w.V)
+	default:
+		*s = slot{}
+	}
+}
+
+// wireSlot returns the register as a continuation slot, unboxed.
+func (s *slot) wireSlot() wire.Slot {
+	switch s.kind {
+	case skInt:
+		return wire.Slot{Kind: wire.SlotInt, I: s.i}
+	case skFloat:
+		return wire.Slot{Kind: wire.SlotFloat, F: s.f}
+	case skBool:
+		return wire.Slot{Kind: wire.SlotBool, I: s.i}
+	case skBoxed:
+		return wire.Slot{Kind: wire.SlotValue, V: s.v}
+	default:
+		return wire.Slot{}
+	}
+}
+
 // box returns the slot's value as an mir.Value (nil when unset). Boxing an
 // int64 outside [0,255] allocates; hot paths avoid calling it.
 func (s *slot) box() mir.Value {
@@ -151,21 +184,38 @@ func (c *Code) NewMachine(env *Env, args []mir.Value) (*CodeMachine, error) {
 	return m, nil
 }
 
+// Regs returns the register index of each named register, in order, for
+// Restore, AppendSlots and LiveSize; a name the program never mentions
+// maps to -1.
+func (c *Code) Regs(names []string) []int {
+	out := make([]int, len(names))
+	for i, n := range names {
+		out[i] = -1
+		if idx, ok := c.slotOf[n]; ok {
+			out[i] = idx
+		}
+	}
+	return out
+}
+
 // Restore prepares a pooled machine that resumes at instruction index node
-// with the given register values — the demodulator side of a remote
-// continuation. Names the program never mentions have no slot and are
-// dropped (the stepping machine keeps them, but they are unreadable there
-// too).
-func (c *Code) Restore(env *Env, node int, vars map[string]mir.Value) (*CodeMachine, error) {
+// with register regs[i] set to vals[i] — the demodulator side of a remote
+// continuation, whose slots arrive in its PSE's variable order. A negative
+// index (a name the program never mentions) drops its value, and an absent
+// slot leaves its register unset.
+func (c *Code) Restore(env *Env, node int, regs []int, vals []wire.Slot) (*CodeMachine, error) {
 	if node < 0 || node >= len(c.prog.Instrs) {
 		return nil, fmt.Errorf("interp: resume node %d out of range for %s", node, c.prog.Name)
+	}
+	if len(regs) != len(vals) {
+		return nil, fmt.Errorf("interp: restore of %s got %d values for %d registers", c.prog.Name, len(vals), len(regs))
 	}
 	m := c.get()
 	m.env = env
 	m.pc = node
-	for k, v := range vars {
-		if idx, ok := c.slotOf[k]; ok {
-			m.regs[idx].set(v)
+	for i, idx := range regs {
+		if idx >= 0 && idx < len(m.regs) {
+			m.regs[idx].setSlot(vals[i])
 		}
 	}
 	return m, nil
@@ -217,39 +267,35 @@ func (m *CodeMachine) Reg(name string) (mir.Value, bool) {
 	return m.regs[idx].box(), true
 }
 
-// Snapshot copies the current values of the named registers — the live
-// variables handed over at a split edge. Unset registers are omitted.
-func (m *CodeMachine) Snapshot(names []string) map[string]mir.Value {
-	out := make(map[string]mir.Value, len(names))
-	for _, n := range names {
-		if idx, ok := m.code.slotOf[n]; ok {
-			if s := &m.regs[idx]; s.kind != skUnset {
-				out[n] = s.box()
-			}
-		}
-	}
-	return out
-}
+// IsSet reports whether register idx (see Code.Regs) holds a value.
+func (m *CodeMachine) IsSet(idx int) bool { return m.regs[idx].kind != skUnset }
 
-// LiveSize returns the encoded size the named registers would have as a
-// continuation's variables — what wire.Sizer prices a Snapshot of them
-// at — without building the snapshot. Unset registers are skipped;
-// unboxed scalars are priced without boxing them.
-func (m *CodeMachine) LiveSize(names []string, s *wire.Sizer) int64 {
-	var total int64
-	for _, n := range names {
-		idx, ok := m.code.slotOf[n]
-		if !ok {
+// AppendSlots appends the values of registers regs to dst, in order and
+// unboxed — the live variables handed over at a split edge. An unset
+// register (or a negative index) appends an absent slot.
+func (m *CodeMachine) AppendSlots(dst []wire.Slot, regs []int) []wire.Slot {
+	for _, idx := range regs {
+		if idx < 0 {
+			dst = append(dst, wire.Slot{})
 			continue
 		}
-		switch sl := &m.regs[idx]; sl.kind {
-		case skInt, skFloat:
-			total += wire.NameSize(n) + wire.NumSize
-		case skBool:
-			total += wire.NameSize(n) + wire.BoolSize
-		case skBoxed:
-			total += wire.NameSize(n) + s.Size(sl.v)
+		dst = append(dst, m.regs[idx].wireSlot())
+	}
+	return dst
+}
+
+// LiveSize returns the encoded size registers regs would have as a
+// continuation's slots under the sizer's schema — what the encoder writes
+// for AppendSlots of them — without copying them out. Unboxed scalars are
+// priced without boxing them.
+func (m *CodeMachine) LiveSize(regs []int, s *wire.Sizer) int64 {
+	var total int64
+	for _, idx := range regs {
+		var sl wire.Slot
+		if idx >= 0 {
+			sl = m.regs[idx].wireSlot()
 		}
+		total += s.Slot(sl)
 	}
 	return total
 }

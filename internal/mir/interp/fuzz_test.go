@@ -2,7 +2,6 @@ package interp
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"methodpart/internal/mir"
@@ -63,11 +62,13 @@ done:
 }
 `
 
-// FuzzRestore: restoring a machine at an arbitrary node with an arbitrary
-// register map — the receiving end of a hostile or corrupted continuation —
-// must yield an error or a normal outcome, never a panic. Register values
-// are decoded from the fuzzed bytes with the wire decoder, the same way a
-// real demodulator builds the map.
+// FuzzRestore: restoring a compiled machine at an arbitrary node from
+// arbitrary slot bytes — the receiving end of a hostile or corrupted
+// continuation — must yield an error or a normal outcome, never a panic.
+// The slots are decoded from the fuzzed bytes with the wire's positional
+// slot decoder under the program's schema, the way a demodulator fills the
+// registers of a PSE's variable list; one slot targets a name the program
+// never mentions.
 func FuzzRestore(f *testing.F) {
 	u := asm.MustParse(fuzzRestoreSrc)
 	prog, ok := u.Program("push")
@@ -78,30 +79,45 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(0, []byte{})
-	f.Add(3, []byte{1, 0, 0, 0, 0, 0, 0, 0, 42})
+	code, err := Compile(prog, CompileOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	schema := wire.NewSchema(tbl)
+	regs := code.Regs([]string{"event", "z0", "r2", "r3", "r4", "ghost"})
+
+	img, err := tbl.New("ImageData")
+	if err != nil {
+		f.Fatal(err)
+	}
+	e := wire.NewEncoder(schema)
+	for _, v := range []mir.Value{img, mir.Bool(true), img, nil, mir.Int(300), mir.Str("x")} {
+		if err := e.EncodeSlot(wire.ValueSlot(v)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(0, append([]byte(nil), e.Bytes()...))
+	f.Add(3, []byte{12, 3, 84, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(1<<20, []byte("garbage"))
 	f.Add(-1, []byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, node int, raw []byte) {
 		env := NewEnv(tbl, NewRegistry())
 		env.MaxSteps = 10_000
 		env.MaxWork = 10_000
-		vars := map[string]mir.Value{}
-		dec := wire.NewDecoder(raw)
-		names := []string{"event", "z0", "r2", "r3", "r4"}
-		for i := 0; i < len(names); i++ {
-			v, err := dec.DecodeValue()
+		dec := wire.NewDecoder(raw, schema)
+		vals := make([]wire.Slot, len(regs))
+		for i := range vals {
+			sl, err := dec.DecodeSlot()
 			if err != nil {
 				break
 			}
-			vars[names[i]] = v
+			vals[i] = sl
 		}
-		// Any leftover bytes become one more value under a hostile name.
-		vars[fmt.Sprintf("x%d", len(vars))] = mir.Bytes(raw)
-		m, err := Restore(env, prog, node, vars)
+		m, err := code.Restore(env, node, regs, vals)
 		if err != nil {
 			return
 		}
 		_, _ = m.Run()
+		m.Release()
 	})
 }

@@ -117,14 +117,12 @@ func (m *Machine) Snapshot(names []string) map[string]mir.Value {
 }
 
 // LiveSize returns the encoded size the named registers would have as a
-// continuation's variables — what wire.Sizer prices a Snapshot of them
-// at — without building the snapshot. Unset registers are skipped.
+// continuation's slots under the sizer's schema; an unset register costs
+// an absent marker.
 func (m *Machine) LiveSize(names []string, s *wire.Sizer) int64 {
 	var total int64
 	for _, n := range names {
-		if v, ok := m.regs[n]; ok {
-			total += wire.NameSize(n) + s.Size(v)
-		}
+		total += s.Slot(wire.ValueSlot(m.regs[n]))
 	}
 	return total
 }

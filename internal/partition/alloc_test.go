@@ -2,6 +2,7 @@ package partition_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestProcessRawProfilingAllocs(t *testing.T) {
 		f := newFixture(t, costmodel.NewDataSize())
 		probe := &countingProbe{}
 		f.demod.CrossProbe = probe
-		msg := &wire.Raw{Handler: "push", Seq: 1, Event: testprog.NewImageData(16, 16)}
+		msg := &wire.Raw{Seq: 1, Event: testprog.NewImageData(16, 16)}
 		run := func() {
 			*f.displayed = (*f.displayed)[:0]
 			if _, err := f.demod.ProcessRaw(msg); err != nil {
@@ -55,6 +56,79 @@ func TestProcessRawProfilingAllocs(t *testing.T) {
 			t.Fatalf("ProcessRaw allocates %.1f with every PSE profiled, %.1f without; want profiling to add 0", on, off)
 		}
 	})
+}
+
+// TestContinuationDecodeRestoreAllocs pins the receive path of a
+// continuation: decoding the frame and restoring its slots into a pooled
+// machine allocates only the message and the payload the handler receives
+// — the Box object (1), its field map (2) and its data array (2: backing
+// array and the slice boxed into an mir.Value). The int and bool slots go
+// unboxed into registers, the aliased second Box slot is a back-reference,
+// and no variable map is built on either end.
+func TestContinuationDecodeRestoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode: sync.Pool drops Puts by design, path is not allocation-free")
+	}
+	classes := testprog.BoxClasses()
+	reg, _ := testprog.SinkRegistry()
+	c, err := partition.Compile(testprog.RandomObjectProgram(3), classes, reg, costmodel.NewDataSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pse *partition.PSE
+	for i := range c.PSEs {
+		if p := &c.PSEs[i]; slices.Contains(p.Vars, "n0") && slices.Contains(p.Vars, "alias") {
+			pse = p
+		}
+	}
+	if pse == nil {
+		t.Fatal("no PSE carries both the aliased Box and an int")
+	}
+	// The Box's own n is small enough for the runtime's cache of boxed
+	// ints, so the payload is exactly the five objects counted above; the
+	// n0 slot carries an int that would allocate if it were boxed.
+	box := testprog.NewBox(100, 64)
+	vars := make([]wire.Slot, len(pse.Vars))
+	for i, n := range pse.Vars {
+		switch n {
+		case "event", "alias":
+			vars[i] = wire.ValueSlot(box)
+		case "n0":
+			vars[i] = wire.ValueSlot(mir.Int(1000))
+		case "small":
+			vars[i] = wire.ValueSlot(mir.Bool(false))
+		}
+	}
+	data, err := wire.Marshal(&wire.Continuation{Seq: 1 << 20, PSEID: pse.ID, ModWork: 12, Vars: vars, Schema: c.Schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := interp.NewEnv(classes, reg)
+	regs := c.Code.Regs(pse.Vars)
+	buf := make([]wire.Slot, 0, len(regs))
+	run := func() {
+		msg, err := wire.Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, err := msg.(*wire.Continuation).DecodeVars(c.Schema, len(regs), buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.Code.Restore(env, pse.Edge.To, regs, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.IsSet(regs[slices.Index(pse.Vars, "n0")]) {
+			t.Fatal("n0 not restored")
+		}
+		m.Release()
+	}
+	run()
+	// Continuation (1) + Box (1) + field map (2) + data (2).
+	if n := testing.AllocsPerRun(200, run); n != 6 {
+		t.Fatalf("decode + restore allocates %.1f, want exactly 6", n)
+	}
 }
 
 // TestCompileInternTableBounded: publishers compile subscriber-supplied
@@ -143,7 +217,7 @@ func TestConcurrentProfiledDemodulation(t *testing.T) {
 		demod.SetProfilePlan(plan)
 		work := func(w int) {
 			for i := 0; i < perW; i++ {
-				msg := &wire.Raw{Handler: "push", Seq: uint64(i), Event: testprog.NewImageData(8+w, 8+w)}
+				msg := &wire.Raw{Seq: uint64(i), Event: testprog.NewImageData(8+w, 8+w)}
 				if _, err := demod.ProcessRaw(msg); err != nil {
 					t.Error(err)
 					return

@@ -35,6 +35,17 @@ type PSE struct {
 	Vars []string
 	// Static is the static cost descriptor from the analysis.
 	Static analysis.CostDesc
+
+	// regs are the registers of Vars, in slot order.
+	regs []int
+}
+
+// forcedCut is a defensive split edge that is not a PSE: an edge into a
+// non-exit StopNode. A continuation split there names it by its index in
+// Compiled.forced, which both ends derive in the same order.
+type forcedCut struct {
+	edge analysis.Edge
+	regs []int
 }
 
 // Compiled is a handler compiled for partitioning under one cost model: the
@@ -56,8 +67,14 @@ type Compiled struct {
 	// edges plus the edges into non-exit StopNodes. All other edges run
 	// inside fused superinstructions with no hook dispatch.
 	Code *interp.Code
+	// Schema is the wire layout of the handler's classes, shared by both
+	// ends of every subscription to it.
+	Schema *wire.Schema
 
 	pseByEdge map[analysis.Edge]int32
+	// forced lists the forced-split edges, indexed by forcedByEdge.
+	forced       []forcedCut
+	forcedByEdge map[analysis.Edge]uint32
 
 	// cuts memoizes the cut table per candidate cap; cutEnumerations
 	// counts the enumerations actually run. Both guarded by cutsMu.
@@ -115,13 +132,43 @@ func Compile(prog *mir.Program, classes *mir.ClassTable, oracle analysis.NativeO
 	if err != nil {
 		return nil, fmt.Errorf("partition: compile %s: %w", prog.Name, err)
 	}
+	for i := range c.PSEs {
+		c.PSEs[i].regs = c.Code.Regs(c.PSEs[i].Vars)
+	}
+	c.forcedByEdge = make(map[analysis.Edge]uint32)
+	for _, e := range ug.Edges() {
+		if _, isPSE := c.pseByEdge[e]; isPSE || ug.IsExit(e.To) || !res.Stops[e.To] {
+			continue
+		}
+		c.forcedByEdge[e] = uint32(len(c.forced))
+		c.forced = append(c.forced, forcedCut{edge: e, regs: c.Code.Regs(res.Live.Inter(e).Sorted())})
+	}
+	c.Schema = wire.NewSchema(classes)
 	wire.InternNames(c.wireNames()...)
 	return c, nil
 }
 
-// wireNames lists the names this handler's messages carry — the handler,
-// its classes and their fields, and every PSE's live variables — for the
-// wire decoder to intern.
+// layout resolves where a continuation resumes and which registers its
+// slots fill: the PSE pseID, or forced-split edge forced when pseID is
+// ForcedSplit. Unknown ids report false.
+func (c *Compiled) layout(pseID int32, forced uint32) (resume int, regs []int, ok bool) {
+	switch {
+	case pseID == ForcedSplit:
+		if int64(forced) >= int64(len(c.forced)) {
+			return 0, nil, false
+		}
+		f := &c.forced[forced]
+		return f.edge.To, f.regs, true
+	case pseID > RawPSEID && int(pseID) < len(c.PSEs):
+		p := &c.PSEs[pseID]
+		return p.Edge.To, p.regs, true
+	}
+	return 0, nil, false
+}
+
+// wireNames lists the names this handler's tagged-form values may carry —
+// the handler and its classes and their fields — for the wire decoder to
+// intern.
 func (c *Compiled) wireNames() []string {
 	names := []string{c.Prog.Name}
 	if c.Classes != nil {
@@ -132,9 +179,6 @@ func (c *Compiled) wireNames() []string {
 				names = append(names, f.Name)
 			}
 		}
-	}
-	for _, p := range c.PSEs {
-		names = append(names, p.Vars...)
 	}
 	return names
 }
@@ -180,12 +224,6 @@ func (c *Compiled) PSE(id int32) (*PSE, bool) {
 
 // NumPSEs returns the PSE count including the raw PSE.
 func (c *Compiled) NumPSEs() int { return len(c.PSEs) }
-
-// InterAt computes the hand-over set of an arbitrary UG edge (used for
-// forced splits at edges that are not PSEs).
-func (c *Compiled) InterAt(e analysis.Edge) []string {
-	return c.Analysis.Live.Inter(e).Sorted()
-}
 
 // ValidateSplitSet checks that the given split ids form a valid partition:
 // every path from the start node to a StopNode crosses a flagged edge (or

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +69,9 @@ type crossProfiler struct {
 	d       *Demodulator
 	plan    *Plan
 	machine *interp.CodeMachine
+	// seq is the message's sequence number, which prices each crossing's
+	// would-be continuation header.
+	seq uint64
 	// baseWork is the sender-side work already spent on the message, so
 	// crossing stats are message-cumulative.
 	baseWork int64
@@ -83,8 +87,8 @@ var profilerPool = sync.Pool{New: func() any {
 func (p *crossProfiler) cross(e interp.Edge) bool {
 	c := p.d.c
 	if id, ok := c.PSEByEdge(analysis.Edge{From: e.From, To: e.To}); ok && p.plan.Profile(id) {
-		pse, _ := c.PSE(id)
-		p.d.CrossProbe.Cross(id, p.baseWork+p.machine.Work(), liveSize(p.machine, pse.Vars))
+		work := p.baseWork + p.machine.Work()
+		p.d.CrossProbe.Cross(id, work, contSize(c, p.machine, id, 0, p.seq, work, c.PSEs[id].regs))
 	}
 	return false
 }
@@ -96,13 +100,13 @@ func (p *crossProfiler) release() {
 
 // profile installs the profiling hook on machine and returns the profiler
 // to release after the run, or nil when no profiling is active.
-func (d *Demodulator) profile(machine *interp.CodeMachine, baseWork int64) *crossProfiler {
+func (d *Demodulator) profile(machine *interp.CodeMachine, seq uint64, baseWork int64) *crossProfiler {
 	plan := d.profilePlan.Load()
 	if plan == nil || len(plan.ProfileIDs()) == 0 {
 		return nil
 	}
 	p := profilerPool.Get().(*crossProfiler)
-	p.d, p.plan, p.machine, p.baseWork = d, plan, machine, baseWork
+	p.d, p.plan, p.machine, p.seq, p.baseWork = d, plan, machine, seq, baseWork
 	machine.SetHook(p.hook)
 	return p
 }
@@ -117,19 +121,21 @@ type Result struct {
 	SplitPSE int32
 }
 
-// ProcessRaw runs the complete handler on an unmodulated event. Interpreter
-// panics are recovered into classified Fault errors; see FaultClassOf.
+// ProcessRaw runs the complete handler on an unmodulated event, decoding
+// it against the handler's schema. Interpreter panics are recovered into
+// classified Fault errors; see FaultClassOf.
 func (d *Demodulator) ProcessRaw(msg *wire.Raw) (res *Result, err error) {
 	defer recoverFault(&err)
-	if msg.Handler != d.c.Prog.Name {
-		return nil, faultf(wire.NackDecode, "partition: raw message for %q handled by %q", msg.Handler, d.c.Prog.Name)
+	event, err := msg.DecodeEvent(d.c.Schema)
+	if err != nil {
+		return nil, classify(wire.NackDecode, err)
 	}
-	machine, err := d.c.Code.NewMachine(d.env, []mir.Value{msg.Event})
+	machine, err := d.c.Code.NewMachine(d.env, []mir.Value{event})
 	if err != nil {
 		return nil, classify(wire.NackRestore, err)
 	}
 	defer machine.Release()
-	if p := d.profile(machine, 0); p != nil {
+	if p := d.profile(machine, msg.Seq, 0); p != nil {
 		defer p.release()
 	}
 	out, err := machine.Run()
@@ -137,30 +143,30 @@ func (d *Demodulator) ProcessRaw(msg *wire.Raw) (res *Result, err error) {
 		return nil, classify(wire.NackRuntime, err)
 	}
 	if !out.Done {
-		return nil, faultf(wire.NackRuntime, "partition: raw run of %s stopped unexpectedly", msg.Handler)
+		return nil, faultf(wire.NackRuntime, "partition: raw run of %s stopped unexpectedly", d.c.Prog.Name)
 	}
 	d.Probe.Done(RawPSEID, 0, out.Work)
 	return &Result{Return: out.Return, DemodWork: out.Work, SplitPSE: RawPSEID}, nil
 }
 
-// ProcessContinuation restores a remote continuation — re-binding the live
-// variables and jumping to the resume node — and runs it to completion.
-// Interpreter panics are recovered into classified Fault errors.
+// ProcessContinuation restores a remote continuation — decoding its slots
+// straight into the registers of its PSE's variable list and jumping to
+// the PSE's resume node — and runs it to completion. An unknown PSE or a
+// slot count other than the PSE's is a NackRestore fault, a slot that does
+// not decode a NackDecode one. Interpreter panics are recovered into
+// classified Fault errors.
 func (d *Demodulator) ProcessContinuation(cont *wire.Continuation) (res *Result, err error) {
 	defer recoverFault(&err)
-	if cont.Handler != d.c.Prog.Name {
-		return nil, faultf(wire.NackDecode, "partition: continuation for %q handled by %q", cont.Handler, d.c.Prog.Name)
+	resume, regs, ok := d.c.layout(cont.PSEID, cont.Forced)
+	if !ok {
+		return nil, faultf(wire.NackRestore, "partition: continuation at unknown pse %d for %s", cont.PSEID, d.c.Prog.Name)
 	}
-	resume := int(cont.ResumeNode)
-	if resume < 0 || resume >= len(d.c.Prog.Instrs) {
-		return nil, faultf(wire.NackRestore, "partition: continuation resume node %d out of range", resume)
-	}
-	machine, err := d.c.Code.Restore(d.env, resume, cont.Vars)
+	machine, err := restore(d.c, d.env, cont, resume, regs)
 	if err != nil {
-		return nil, classify(wire.NackRestore, err)
+		return nil, err
 	}
 	defer machine.Release()
-	if p := d.profile(machine, cont.ModWork); p != nil {
+	if p := d.profile(machine, cont.Seq, cont.ModWork); p != nil {
 		defer p.release()
 	}
 	out, err := machine.Run()
@@ -168,10 +174,32 @@ func (d *Demodulator) ProcessContinuation(cont *wire.Continuation) (res *Result,
 		return nil, classify(wire.NackRuntime, err)
 	}
 	if !out.Done {
-		return nil, faultf(wire.NackRuntime, "partition: continuation of %s stopped unexpectedly", cont.Handler)
+		return nil, faultf(wire.NackRuntime, "partition: continuation of %s stopped unexpectedly", d.c.Prog.Name)
 	}
 	d.Probe.Done(cont.PSEID, cont.ModWork, out.Work)
 	return &Result{Return: out.Return, DemodWork: out.Work, SplitPSE: cont.PSEID}, nil
+}
+
+// inlineSlots is how many decoded slots restore holds on its stack; a
+// continuation carrying more spills to the heap.
+const inlineSlots = 8
+
+// restore decodes cont's slots against the layout regs and resumes a
+// machine at resume with them.
+func restore(c *Compiled, env *interp.Env, cont *wire.Continuation, resume int, regs []int) (*interp.CodeMachine, error) {
+	var buf [inlineSlots]wire.Slot
+	vals, err := cont.DecodeVars(c.Schema, len(regs), buf[:0])
+	if errors.Is(err, wire.ErrSlotCount) {
+		return nil, classify(wire.NackRestore, err)
+	}
+	if err != nil {
+		return nil, classify(wire.NackDecode, err)
+	}
+	machine, err := c.Code.Restore(env, resume, regs, vals)
+	if err != nil {
+		return nil, classify(wire.NackRestore, err)
+	}
+	return machine, nil
 }
 
 // Process dispatches a decoded wire message to the appropriate half.

@@ -79,7 +79,7 @@ func BenchmarkModulate(b *testing.B) {
 func BenchmarkDemodulate(b *testing.B) {
 	c, reg := benchHandler(b)
 	demod := partition.NewDemodulator(c, interp.NewEnv(nil, reg))
-	msg := &wire.Raw{Handler: "sum", Event: benchEvent(1024)}
+	msg := &wire.Raw{Event: benchEvent(1024)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -94,75 +94,77 @@ func TestEnginesAgreeOnPush(t *testing.T) {
 
 // TestEnginesAgreeOnRandomPrograms is the cross-engine property test: for
 // pseudo-random handlers under every completable plan, the compiled
-// modulator and demodulator, with the continuation crossing the wire, match
+// modulator and demodulator, with every message crossing the wire, match
 // the unsplit stepping run in return value, sink effects and total work.
+// The objects subtests run handlers over declared-class events.
 func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			prog := testprog.RandomProgram(seed)
-			oracleReg, _ := testprog.SinkRegistry()
-			c, err := partition.Compile(prog, nil, oracleReg, costmodel.NewDataSize())
-			if err != nil {
-				t.Fatalf("compile: %v\n%s", err, prog)
-			}
-			event := mir.Int(seed*17 + 3)
-			wholeReg, wantSunk := testprog.SinkRegistry()
-			want := wholeOutcome(t, interp.NewEnv(nil, wholeReg), prog, event)
-
-			for id := int32(0); id < int32(c.NumPSEs()); id++ {
-				split := completeSplitSet(c, id)
-				if split == nil {
-					continue
-				}
-				plan, err := partition.NewPlan(c.NumPSEs(), 1, split, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sendReg, _ := testprog.SinkRegistry()
-				recvReg, recvSunk := testprog.SinkRegistry()
-				mod := partition.NewModulator(c, interp.NewEnv(nil, sendReg))
-				mod.SetPlan(plan)
-				demod := partition.NewDemodulator(c, interp.NewEnv(nil, recvReg))
-
-				out, err := mod.Process(event)
-				if err != nil {
-					t.Fatalf("plan %v: modulate: %v", split, err)
-				}
-				var msg any
-				if out.Raw != nil {
-					msg = out.Raw
-				} else {
-					data, err := wire.Marshal(out.Cont)
-					if err != nil {
-						t.Fatal(err)
-					}
-					msg, err = wire.Unmarshal(data)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				res, err := demod.Process(msg)
-				if err != nil {
-					t.Fatalf("plan %v: demodulate: %v", split, err)
-				}
-				label := fmt.Sprintf("seed %d plan %v", seed, split)
-				if !mir.Equal(res.Return, want.Return) {
-					t.Errorf("%s: return %v, unsplit %v", label, res.Return, want.Return)
-				}
-				if got := out.ModWork + res.DemodWork; got != want.Work {
-					t.Errorf("%s: work %d+%d, unsplit %d", label, out.ModWork, res.DemodWork, want.Work)
-				}
-				if len(*recvSunk) != len(*wantSunk) {
-					t.Fatalf("%s: sunk %d values, unsplit %d", label, len(*recvSunk), len(*wantSunk))
-				}
-				for i := range *wantSunk {
-					if !mir.Equal((*recvSunk)[i], (*wantSunk)[i]) {
-						t.Errorf("%s: sink[%d] = %v, unsplit %v", label, i, (*recvSunk)[i], (*wantSunk)[i])
-					}
-				}
+			checkEnginesAgree(t, testprog.RandomProgram(seed), nil, func() mir.Value { return mir.Int(seed*17 + 3) })
+		})
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("objects%d", seed), func(t *testing.T) {
+			for name, ev := range objectEvents(seed) {
+				t.Run(name, func(t *testing.T) {
+					checkEnginesAgree(t, testprog.RandomObjectProgram(seed), testprog.BoxClasses(), ev)
+				})
 			}
 		})
+	}
+}
+
+// checkEnginesAgree is one TestEnginesAgreeOnRandomPrograms case.
+func checkEnginesAgree(t *testing.T, prog *mir.Program, classes *mir.ClassTable, event func() mir.Value) {
+	t.Helper()
+	oracleReg, _ := testprog.SinkRegistry()
+	c, err := partition.Compile(prog, classes, oracleReg, costmodel.NewDataSize())
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, prog)
+	}
+	wholeReg, wantSunk := testprog.SinkRegistry()
+	want := wholeOutcome(t, interp.NewEnv(classes, wholeReg), prog, event())
+
+	for id := int32(0); id < int32(c.NumPSEs()); id++ {
+		split := completeSplitSet(c, id)
+		if split == nil {
+			continue
+		}
+		plan, err := partition.NewPlan(c.NumPSEs(), 1, split, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendReg, _ := testprog.SinkRegistry()
+		recvReg, recvSunk := testprog.SinkRegistry()
+		mod := partition.NewModulator(c, interp.NewEnv(classes, sendReg))
+		mod.SetPlan(plan)
+		demod := partition.NewDemodulator(c, interp.NewEnv(classes, recvReg))
+
+		out, err := mod.Process(event())
+		if err != nil {
+			t.Fatalf("plan %v: modulate: %v", split, err)
+		}
+		res, err := demod.Process(wireHop(t, out))
+		if err != nil {
+			t.Fatalf("plan %v: demodulate: %v", split, err)
+		}
+		label := fmt.Sprintf("%s plan %v", prog.Name, split)
+		if !mir.Equal(res.Return, want.Return) {
+			t.Errorf("%s: return %v, unsplit %v", label, res.Return, want.Return)
+		}
+		if got := out.ModWork + res.DemodWork; got != want.Work {
+			t.Errorf("%s: work %d+%d, unsplit %d", label, out.ModWork, res.DemodWork, want.Work)
+		}
+		if len(*recvSunk) != len(*wantSunk) {
+			t.Fatalf("%s: sunk %d values, unsplit %d", label, len(*recvSunk), len(*wantSunk))
+		}
+		for i := range *wantSunk {
+			if !mir.Equal((*recvSunk)[i], (*wantSunk)[i]) {
+				t.Errorf("%s: sink[%d] = %v, unsplit %v", label, i, (*recvSunk)[i], (*wantSunk)[i])
+			}
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func TestDemodulatorRecoversPanic(t *testing.T) {
 	reg := panicRegistry(false, true)
 	c, classes := compileWith(t, reg)
 	demod := partition.NewDemodulator(c, interp.NewEnv(classes, reg))
-	res, err := demod.ProcessRaw(&wire.Raw{Handler: "push", Seq: 1, Event: testprog.NewImageData(8, 8)})
+	res, err := demod.ProcessRaw(&wire.Raw{Seq: 1, Event: testprog.NewImageData(8, 8)})
 	if err == nil {
 		t.Fatalf("res = %+v, want panic recovered as error", res)
 	}
@@ -119,7 +119,7 @@ func TestDemodulatorBudgetFault(t *testing.T) {
 	env := interp.NewEnv(classes, reg)
 	env.MaxWork = 1
 	demod := partition.NewDemodulator(c, env)
-	_, err := demod.ProcessRaw(&wire.Raw{Handler: "push", Seq: 1, Event: testprog.NewImageData(8, 8)})
+	_, err := demod.ProcessRaw(&wire.Raw{Seq: 1, Event: testprog.NewImageData(8, 8)})
 	if err == nil {
 		t.Fatal("want work-budget error")
 	}
@@ -143,9 +143,11 @@ func TestDemodulatorFaultClasses(t *testing.T) {
 		msg  any
 		want wire.NackClass
 	}{
-		{"handler mismatch", &wire.Raw{Handler: "other", Seq: 1, Event: testprog.NewImageData(4, 4)}, wire.NackDecode},
+		{"foreign class index", undecodedRaw(t, []byte{byte(wire.MsgRaw), 1, 11 /* tagClass */, 9}), wire.NackDecode},
 		{"unknown message", "not a message", wire.NackDecode},
-		{"resume out of range", &wire.Continuation{Handler: "push", Seq: 2, PSEID: 1, ResumeNode: 1 << 20}, wire.NackRestore},
+		{"unknown pse", &wire.Continuation{Seq: 2, PSEID: 1 << 20}, wire.NackRestore},
+		{"unknown forced split", &wire.Continuation{Seq: 2, PSEID: partition.ForcedSplit, Forced: 1 << 20}, wire.NackRestore},
+		{"wrong slot count", &wire.Continuation{Seq: 2, PSEID: 1, Vars: make([]wire.Slot, len(c.PSEs[1].Vars)+1)}, wire.NackRestore},
 	}
 	for _, tc := range cases {
 		_, err := demod.Process(tc.msg)
@@ -158,10 +160,22 @@ func TestDemodulatorFaultClasses(t *testing.T) {
 	}
 }
 
+// undecodedRaw unmarshals a hand-built Raw frame, leaving its event for
+// the demodulator to decode.
+func undecodedRaw(t *testing.T, frame []byte) any {
+	t.Helper()
+	msg, err := wire.Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
 // FuzzDemodulatorProcess: the demodulator is the trust boundary of the
 // protocol — whatever frame the wire decodes, Process must return a result
 // or an error, never panic. Seeds cover a valid raw frame, a valid
-// continuation, and hostile mutations of both.
+// continuation, and one whose slot holds the wrong type, so the fuzzer
+// starts inside the positional slot decoder.
 func FuzzDemodulatorProcess(f *testing.F) {
 	u := testprog.PushUnit()
 	prog, _ := u.Program("push")
@@ -179,12 +193,28 @@ func FuzzDemodulatorProcess(f *testing.F) {
 	env.MaxWork = 100_000
 	demod := partition.NewDemodulator(c, env)
 
+	var withVars []int32
+	for _, p := range c.PSEs {
+		if len(p.Vars) > 0 {
+			withVars = append(withVars, p.ID)
+		}
+	}
+	if len(withVars) < 3 {
+		f.Fatalf("push has %d PSEs with variables; the seeds need the raw PSE and two more", len(withVars))
+	}
+	img := testprog.NewImageData(8, 8)
+	valid := make([]wire.Slot, len(c.PSEs[withVars[1]].Vars))
+	for i := range valid {
+		valid[i] = wire.ValueSlot(img)
+	}
+	wrong := make([]wire.Slot, len(c.PSEs[withVars[2]].Vars))
+	for i := range wrong {
+		wrong[i] = wire.ValueSlot(mir.Str("wrong type"))
+	}
 	seedMsgs := []any{
-		&wire.Raw{Handler: "push", Seq: 1, Event: testprog.NewImageData(8, 8)},
-		&wire.Continuation{Handler: "push", Seq: 2, PSEID: 1, ResumeNode: 2,
-			Vars: map[string]mir.Value{"event": testprog.NewImageData(8, 8), "z0": mir.Int(1)}},
-		&wire.Continuation{Handler: "push", Seq: 3, PSEID: 2, ResumeNode: 5,
-			Vars: map[string]mir.Value{"r3": mir.Str("wrong type")}},
+		&wire.Raw{Seq: 1, Event: img, Schema: c.Schema},
+		&wire.Continuation{Seq: 2, PSEID: withVars[1], Vars: valid, Schema: c.Schema},
+		&wire.Continuation{Seq: 3, PSEID: withVars[2], Vars: wrong, Schema: c.Schema},
 	}
 	for _, m := range seedMsgs {
 		data, err := wire.Marshal(m)

@@ -56,9 +56,14 @@ type Output struct {
 	SplitPSE int32
 	// ModWork is the sender-side work spent (work units).
 	ModWork int64
-	// WireBytes is the marshalled size of what will be sent (0 when
+	// WireBytes is the marshalled size of what will be sent, frame header
+	// included: exactly the length wire.Marshal produces (0 when
 	// suppressed).
 	WireBytes int64
+	// RawBytes is the length the event's Raw frame would have: what
+	// shipping it unmodulated costs, against which a split's bytes saved
+	// are counted. Relays leave it 0 for continuations they advance.
+	RawBytes int64
 }
 
 // Modulator is the sender-side half of a partitioned handler. It is safe
@@ -164,18 +169,17 @@ func (m *Modulator) Process(event mir.Value) (out *Output, err error) {
 	defer recoverFault(&err)
 	plan := m.plan.Load()
 	seq := m.seq.Add(1)
-	name := m.c.Prog.Name
 	sampled := m.SampleEvery <= 1 || seq%m.SampleEvery == 0
 
 	if plan.Raw() {
-		raw := &wire.Raw{Handler: name, Seq: seq, Event: event}
-		size := wire.SizeOf(event)
+		raw := &wire.Raw{Seq: seq, Event: event, Schema: m.c.Schema}
+		size := raw.FrameSize()
 		m.Probe.Message(size)
 		if sampled && plan.Profile(RawPSEID) {
 			m.Probe.Cross(RawPSEID, 0, size)
 		}
 		m.Probe.SplitAt(RawPSEID, 0, size)
-		return &Output{Raw: raw, SplitPSE: RawPSEID, WireBytes: size}, nil
+		return &Output{Raw: raw, SplitPSE: RawPSEID, WireBytes: size, RawBytes: size}, nil
 	}
 
 	machine, err := m.c.Code.NewMachine(m.env, []mir.Value{event})
@@ -183,51 +187,51 @@ func (m *Modulator) Process(event mir.Value) (out *Output, err error) {
 		return nil, classify(wire.NackRestore, err)
 	}
 	defer machine.Release()
-	res, err := runSplit(m.c, machine, plan, m.Probe, sampled, 0)
+	res, err := runSplit(m.c, machine, plan, m.Probe, sampled, seq, 0)
 	if err != nil {
 		return nil, classify(wire.NackRuntime, err)
 	}
-	m.Probe.Message(wire.SizeOf(event))
+	rawBytes := wire.RawFrameSize(seq, wire.SizeOf(m.c.Schema, event))
+	m.Probe.Message(rawBytes)
 	if res.outcome.Done {
 		// Only possible when every path StopNode is the exit — which
 		// cannot happen since returns are StopNodes — so treat as a
 		// completed-at-sender anomaly.
-		return nil, faultf(wire.NackRuntime, "partition: %s completed at sender; missing StopNodes", name)
+		return nil, faultf(wire.NackRuntime, "partition: %s completed at sender; missing StopNodes", m.c.Prog.Name)
 	}
 
-	resume := res.outcome.Split.To
 	work := res.outcome.Work
-	snap := machine.Snapshot(res.splitVars)
-	if m.SuppressTrivial && len(snap) == 0 && m.c.Prog.Instrs[resume].Op == mir.OpReturn {
+	if m.SuppressTrivial && m.c.Prog.Instrs[res.outcome.Split.To].Op == mir.OpReturn && allUnset(machine, res.regs) {
 		m.Probe.SplitAt(res.splitID, work, 0)
-		return &Output{Suppressed: true, SplitPSE: res.splitID, ModWork: work}, nil
+		return &Output{Suppressed: true, SplitPSE: res.splitID, ModWork: work, RawBytes: rawBytes}, nil
 	}
-	cont := &wire.Continuation{
-		Handler:    name,
-		Seq:        seq,
-		PSEID:      res.splitID,
-		ResumeNode: int32(resume),
-		Vars:       snap,
-		ModWork:    work,
-	}
-	size := snapshotSize(res.splitVars, snap)
+	cont := m.c.continuation(machine, res, seq, work)
+	size := cont.FrameSize()
 	m.Probe.SplitAt(res.splitID, work, size)
-	return &Output{Cont: cont, SplitPSE: res.splitID, ModWork: work, WireBytes: size}, nil
+	return &Output{Cont: cont, SplitPSE: res.splitID, ModWork: work, WireBytes: size, RawBytes: rawBytes}, nil
 }
 
-// snapshotSize computes the wire size of a live-variable snapshot without
-// serialising it, sharing references across variables exactly as the
-// encoder would.
-func snapshotSize(order []string, snap map[string]mir.Value) int64 {
-	s := wire.GetSizer()
-	var total int64
-	for _, n := range order {
-		v, ok := snap[n]
-		if !ok {
-			continue
+// allUnset reports that none of registers regs holds a value: a split
+// there hands nothing over.
+func allUnset(machine *interp.CodeMachine, regs []int) bool {
+	for _, idx := range regs {
+		if idx >= 0 && machine.IsSet(idx) {
+			return false
 		}
-		total += wire.NameSize(n) + s.Size(v)
 	}
-	wire.PutSizer(s)
-	return total
+	return true
+}
+
+// continuation builds the message a split res ships from machine's
+// registers: its slots in the split's variable order, copied unboxed.
+func (c *Compiled) continuation(machine *interp.CodeMachine, res *splitResult, seq uint64, work int64) *wire.Continuation {
+	return &wire.Continuation{
+		Seq:        seq,
+		PSEID:      res.splitID,
+		Forced:     res.forced,
+		ResumeNode: int32(res.outcome.Split.To),
+		Vars:       machine.AppendSlots(make([]wire.Slot, 0, len(res.regs)), res.regs),
+		ModWork:    work,
+		Schema:     c.Schema,
+	}
 }

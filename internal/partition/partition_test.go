@@ -294,15 +294,28 @@ func TestValidateSplitSet(t *testing.T) {
 	}
 }
 
+// TestDemodulatorRejectsWrongHandler: no frame names its handler — the
+// handshake binds a connection to one compiled handler — so a frame meant
+// for another handler shows up as a class index, PSE or slot count this
+// handler's layout lacks, and fails classified instead of running.
 func TestDemodulatorRejectsWrongHandler(t *testing.T) {
 	f := newFixture(t, costmodel.NewDataSize())
-	_, err := f.demod.ProcessRaw(&wire.Raw{Handler: "nope", Event: mir.Int(1)})
-	if err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Fatalf("err = %v", err)
+	foreign, err := wire.Unmarshal([]byte{byte(wire.MsgRaw), 1, 11 /* tagClass */, 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err = f.demod.ProcessContinuation(&wire.Continuation{Handler: "push", ResumeNode: 999})
-	if err == nil {
-		t.Fatal("out-of-range resume accepted")
+	_, err = f.demod.Process(foreign)
+	if err == nil || partition.FaultClassOf(err) != wire.NackDecode || !strings.Contains(err.Error(), "class index 5") {
+		t.Fatalf("foreign class: err = %v", err)
+	}
+	_, err = f.demod.ProcessContinuation(&wire.Continuation{PSEID: int32(f.c.NumPSEs())})
+	if err == nil || partition.FaultClassOf(err) != wire.NackRestore {
+		t.Fatalf("unknown pse: err = %v", err)
+	}
+	pse, _ := f.c.PSE(1)
+	_, err = f.demod.ProcessContinuation(&wire.Continuation{PSEID: 1, Vars: make([]wire.Slot, len(pse.Vars)+2)})
+	if err == nil || partition.FaultClassOf(err) != wire.NackRestore {
+		t.Fatalf("wrong slot count: err = %v", err)
 	}
 }
 

@@ -11,54 +11,54 @@ import (
 )
 
 // splitResult is the outcome of running a machine segment under a plan's
-// split flags.
+// split flags: where it split, and the registers the continuation carries.
 type splitResult struct {
-	splitID   int32
-	splitVars []string
-	outcome   interp.Outcome
+	splitID int32
+	forced  uint32
+	regs    []int
+	outcome interp.Outcome
 }
 
-// liveSize prices the named live registers of machine with a pooled sizer:
-// the size a continuation split here would carry, without the snapshot.
-func liveSize(machine *interp.CodeMachine, names []string) int64 {
-	s := wire.GetSizer()
-	n := machine.LiveSize(names, s)
+// contSize prices the continuation a split at pseID would ship from
+// machine's registers regs, header included, with a pooled sizer — the
+// frame's encoded length, without building the continuation.
+func contSize(c *Compiled, machine *interp.CodeMachine, pseID int32, forced uint32, seq uint64, work int64, regs []int) int64 {
+	s := wire.GetSizer(c.Schema)
+	n := machine.LiveSize(regs, s)
 	wire.PutSizer(s)
-	return n
+	return wire.ContinuationFrameSize(pseID, forced, seq, work, len(regs), n)
 }
 
 // runSplit executes a machine until a flagged PSE (or a forced split before
 // a StopNode), profiling flagged PSE crossings. baseWork is the work already
 // spent on the message upstream, so crossing statistics stay
-// message-cumulative across parties. The hook only acts on PSE edges and
-// edges into StopNodes, exactly the edges compiled code watches.
-func runSplit(c *Compiled, machine *interp.CodeMachine, plan *Plan, probe SenderProbe, sampled bool, baseWork int64) (*splitResult, error) {
+// message-cumulative across parties; seq prices each crossing's would-be
+// continuation exactly. The hook only acts on PSE edges and edges into
+// StopNodes, exactly the edges compiled code watches.
+func runSplit(c *Compiled, machine *interp.CodeMachine, plan *Plan, probe SenderProbe, sampled bool, seq uint64, baseWork int64) (*splitResult, error) {
 	res := &splitResult{splitID: ForcedSplit}
 	machine.SetHook(func(e interp.Edge) bool {
 		ae := analysis.Edge{From: e.From, To: e.To}
 		id, isPSE := c.PSEByEdge(ae)
 		if isPSE {
-			pse, _ := c.PSE(id)
+			pse := &c.PSEs[id]
 			if sampled && plan.Profile(id) {
-				probe.Cross(id, baseWork+machine.Work(), liveSize(machine, pse.Vars))
+				work := baseWork + machine.Work()
+				probe.Cross(id, work, contSize(c, machine, id, 0, seq, work, pse.regs))
 			}
-			if plan.Split(id) {
+			if plan.Split(id) || (c.Analysis.Stops[e.To] && !c.Analysis.UG.IsExit(e.To)) {
 				res.splitID = id
-				res.splitVars = pse.Vars
+				res.regs = pse.regs
 				return true
 			}
+			return false
 		}
-		if c.Analysis.Stops[e.To] && !c.Analysis.UG.IsExit(e.To) {
+		if f, ok := c.forcedByEdge[ae]; ok {
 			// Defensive split: never execute a StopNode before the
 			// final receiver.
-			if isPSE {
-				pse, _ := c.PSE(id)
-				res.splitID = id
-				res.splitVars = pse.Vars
-			} else {
-				res.splitID = ForcedSplit
-				res.splitVars = c.InterAt(ae)
-			}
+			res.splitID = ForcedSplit
+			res.forced = f
+			res.regs = c.forced[f].regs
 			return true
 		}
 		return false
@@ -125,72 +125,55 @@ func (r *Relay) Process(msg any) (*Output, error) {
 		machine  *interp.CodeMachine
 		baseWork int64
 		seq      uint64
-		handler  string
 		err      error
 	)
 	switch m := msg.(type) {
 	case *wire.Raw:
-		if m.Handler != r.c.Prog.Name {
-			return nil, fmt.Errorf("partition: relay for %q got raw for %q", r.c.Prog.Name, m.Handler)
-		}
 		if plan.Raw() {
 			// Pass-through: forward untouched.
-			return &Output{Raw: m, SplitPSE: RawPSEID, WireBytes: wire.SizeOf(m.Event)}, nil
+			size := m.FrameSize()
+			return &Output{Raw: m, SplitPSE: RawPSEID, WireBytes: size, RawBytes: size}, nil
 		}
-		machine, err = r.c.Code.NewMachine(r.env, []mir.Value{m.Event})
+		var event mir.Value
+		if event, err = m.DecodeEvent(r.c.Schema); err != nil {
+			return nil, err
+		}
+		machine, err = r.c.Code.NewMachine(r.env, []mir.Value{event})
 		if err != nil {
 			return nil, err
 		}
-		seq, handler = m.Seq, m.Handler
+		seq = m.Seq
 	case *wire.Continuation:
-		if m.Handler != r.c.Prog.Name {
-			return nil, fmt.Errorf("partition: relay for %q got continuation for %q", r.c.Prog.Name, m.Handler)
-		}
-		resume := int(m.ResumeNode)
-		if resume < 0 || resume >= len(r.c.Prog.Instrs) {
-			return nil, fmt.Errorf("partition: relay resume node %d out of range", resume)
+		resume, regs, ok := r.c.layout(m.PSEID, m.Forced)
+		if !ok {
+			return nil, fmt.Errorf("partition: relay for %s got continuation at unknown pse %d", r.c.Prog.Name, m.PSEID)
 		}
 		if plan.Raw() || r.c.Analysis.Stops[resume] {
-			// Pass-through: nothing the relay may run.
-			return &Output{Cont: m, SplitPSE: m.PSEID, ModWork: 0, WireBytes: continuationSize(m)}, nil
+			// Pass-through: nothing the relay may run. The copy shares
+			// the encoded slots and reports where the next hop resumes.
+			fwd := *m
+			fwd.ResumeNode = int32(resume)
+			return &Output{Cont: &fwd, SplitPSE: m.PSEID, WireBytes: m.FrameSize()}, nil
 		}
-		machine, err = r.c.Code.Restore(r.env, resume, m.Vars)
+		machine, err = restore(r.c, r.env, m, resume, regs)
 		if err != nil {
 			return nil, err
 		}
-		baseWork, seq, handler = m.ModWork, m.Seq, m.Handler
+		baseWork, seq = m.ModWork, m.Seq
 	default:
 		return nil, fmt.Errorf("partition: relay cannot process %T", msg)
 	}
 	defer machine.Release()
 
-	res, err := runSplit(r.c, machine, plan, r.Probe, true, baseWork)
+	res, err := runSplit(r.c, machine, plan, r.Probe, true, seq, baseWork)
 	if err != nil {
 		return nil, err
 	}
 	if res.outcome.Done {
-		return nil, fmt.Errorf("partition: %s completed at relay; missing StopNodes", handler)
+		return nil, fmt.Errorf("partition: %s completed at relay; missing StopNodes", r.c.Prog.Name)
 	}
-	snap := machine.Snapshot(res.splitVars)
-	cont := &wire.Continuation{
-		Handler:    handler,
-		Seq:        seq,
-		PSEID:      res.splitID,
-		ResumeNode: int32(res.outcome.Split.To),
-		Vars:       snap,
-		ModWork:    baseWork + res.outcome.Work,
-	}
-	size := snapshotSize(res.splitVars, snap)
+	cont := r.c.continuation(machine, res, seq, baseWork+res.outcome.Work)
+	size := cont.FrameSize()
 	r.Probe.SplitAt(res.splitID, cont.ModWork, size)
 	return &Output{Cont: cont, SplitPSE: res.splitID, ModWork: res.outcome.Work, WireBytes: size}, nil
-}
-
-// continuationSize estimates the wire size of an existing continuation's
-// variable payload.
-func continuationSize(c *wire.Continuation) int64 {
-	order := make([]string, 0, len(c.Vars))
-	for n := range c.Vars {
-		order = append(order, n)
-	}
-	return snapshotSize(order, c.Vars)
 }

@@ -80,7 +80,8 @@ func filterPSE(t *testing.T, c *partition.Compiled) int32 {
 	return -1
 }
 
-// wireHop marshals+unmarshals an output to simulate a real hop.
+// wireHop sends an output through a pooled frame and back, as a real hop
+// does, and checks that its WireBytes priced that frame exactly.
 func wireHop(t *testing.T, out *partition.Output) any {
 	t.Helper()
 	var msg any
@@ -89,10 +90,15 @@ func wireHop(t *testing.T, out *partition.Output) any {
 	} else {
 		msg = out.Cont
 	}
-	data, err := wire.Marshal(msg)
+	frame, err := wire.MarshalFrame(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if int64(frame.Len()) != out.WireBytes {
+		t.Fatalf("split %d: WireBytes %d, frame is %d bytes", out.SplitPSE, out.WireBytes, frame.Len())
+	}
+	data := append([]byte(nil), frame.Bytes()...)
+	frame.Release()
 	back, err := wire.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +220,7 @@ func TestRelayModulatesRawEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.relay.SetPlan(plan)
-	raw := &wire.Raw{Handler: sensor.HandlerName, Seq: 1, Event: sensor.NewFrame(2, 64)}
+	raw := &wire.Raw{Seq: 1, Event: sensor.NewFrame(2, 64), Schema: f.c.Schema}
 	out, err := f.relay.Process(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -268,17 +274,28 @@ func TestRelayNeverRunsStopNodes(t *testing.T) {
 	}
 }
 
-// TestRelayWrongHandlerRejected guards routing.
+// TestRelayWrongHandlerRejected guards routing: with no handler name on
+// the wire, a frame for another handler shows up as a class index or PSE
+// this handler's layout lacks, and the relay refuses it.
 func TestRelayWrongHandlerRejected(t *testing.T) {
 	f := newChain(t)
-	if _, err := f.relay.Process(&wire.Raw{Handler: "other", Event: mir.Int(1)}); err == nil {
-		t.Error("wrong-handler raw accepted")
+	plan, err := partition.NewPlan(f.c.NumPSEs(), 1, []int32{stagePSE(t, f.c, 3), filterPSE(t, f.c)}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.relay.Process(&wire.Continuation{Handler: "other"}); err == nil {
-		t.Error("wrong-handler continuation accepted")
+	f.relay.SetPlan(plan)
+	foreign, err := wire.Unmarshal([]byte{byte(wire.MsgRaw), 1, 11 /* tagClass */, 9})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.relay.Process(&wire.Continuation{Handler: sensor.HandlerName, ResumeNode: 999}); err == nil {
-		t.Error("out-of-range resume accepted")
+	if _, err := f.relay.Process(foreign); err == nil {
+		t.Error("raw of an undeclared class index accepted")
+	}
+	if _, err := f.relay.Process(&wire.Continuation{PSEID: int32(f.c.NumPSEs())}); err == nil {
+		t.Error("continuation at an unknown PSE accepted")
+	}
+	if _, err := f.relay.Process(&wire.Continuation{PSEID: partition.ForcedSplit, Forced: 999}); err == nil {
+		t.Error("continuation at an unknown forced split accepted")
 	}
 	if _, err := f.relay.Process(42); err == nil {
 		t.Error("non-message accepted")

@@ -19,6 +19,43 @@ import (
 // and remotely continuing must produce the same sink effects as running the
 // handler whole.
 func RandomProgram(seed int64) *mir.Program {
+	return randomProgram(seed, false)
+}
+
+// BoxClass is the declared class of RandomObjectProgram's events.
+var BoxClass = mir.ClassDef{Name: "Box", Fields: []mir.FieldDef{
+	{Name: "n", Kind: mir.KindInt},
+	{Name: "data", Kind: mir.KindBytes},
+}}
+
+// BoxClasses returns a class table declaring BoxClass.
+func BoxClasses() *mir.ClassTable { return mir.MustClassTable(BoxClass) }
+
+// NewBox builds a Box event holding n and a data array of size bytes.
+func NewBox(n int64, size int) *mir.Object {
+	b := mir.NewObject(BoxClass.Name)
+	b.Fields["n"] = mir.Int(n)
+	data := make(mir.Bytes, size)
+	for i := range data {
+		data[i] = byte(i + int(n))
+	}
+	b.Fields["data"] = data
+	return b
+}
+
+// RandomObjectProgram is RandomProgram over a Box event (see NewBox): the
+// arithmetic starts from the event's n, and the handler keeps the event
+// live to the end under two registers, so every continuation carries one
+// declared-class object aliased in two slots. A register it sets only when
+// n < 256 (the event's data) is live across the body without being set on
+// every path, so continuations can carry it as an absent slot. The
+// epilogue sinks the accumulator, the data length when set, and the event
+// under both registers.
+func RandomObjectProgram(seed int64) *mir.Program {
+	return randomProgram(seed, true)
+}
+
+func randomProgram(seed int64, objects bool) *mir.Program {
 	rng := rand.New(rand.NewSource(seed))
 
 	var (
@@ -32,6 +69,16 @@ func RandomProgram(seed int64) *mir.Program {
 		in.Label = pending
 		pending = ""
 		instrs = append(instrs, in)
+	}
+	if objects {
+		emit(mir.Instr{Op: mir.OpMove, Dst: "alias", Src: "event"})
+		emit(mir.Instr{Op: mir.OpGetField, Dst: "n0", Src: "event", Field: "n"})
+		emit(mir.Instr{Op: mir.OpConst, Dst: "lim", Lit: mir.Int(256)})
+		emit(mir.Instr{Op: mir.OpBin, Dst: "small", Bin: mir.BinLt, Src: "n0", Src2: "lim"})
+		emit(mir.Instr{Op: mir.OpIfNot, Src: "small", Target: "Lopt"})
+		emit(mir.Instr{Op: mir.OpGetField, Dst: "opt", Src: "event", Field: "data"})
+		pending = "Lopt"
+		defined = []string{"n0"}
 	}
 	reg := func() string {
 		nextReg++
@@ -87,9 +134,21 @@ func RandomProgram(seed int64) *mir.Program {
 		emit(mir.Instr{Op: mir.OpBin, Dst: acc, Bin: mir.BinAdd, Src: acc, Src2: pick()})
 	}
 	emit(mir.Instr{Op: mir.OpCall, Fn: "sink", Args: []string{acc}})
+	if objects {
+		emit(mir.Instr{Op: mir.OpIfNot, Src: "small", Target: "Lend"})
+		emit(mir.Instr{Op: mir.OpLen, Dst: "olen", Src: "opt"})
+		emit(mir.Instr{Op: mir.OpCall, Fn: "sink", Args: []string{"olen"}})
+		pending = "Lend"
+		emit(mir.Instr{Op: mir.OpCall, Fn: "sink", Args: []string{"alias"}})
+		emit(mir.Instr{Op: mir.OpCall, Fn: "sink", Args: []string{"event"}})
+	}
 	emit(mir.Instr{Op: mir.OpReturn, Src: acc})
 
-	prog, err := mir.NewProgram(fmt.Sprintf("rand%d", seed), []string{"event"}, instrs)
+	name := fmt.Sprintf("rand%d", seed)
+	if objects {
+		name = fmt.Sprintf("boxrand%d", seed)
+	}
+	prog, err := mir.NewProgram(name, []string{"event"}, instrs)
 	if err != nil {
 		panic(fmt.Sprintf("testprog: generated invalid program (seed %d): %v", seed, err))
 	}

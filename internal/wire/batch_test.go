@@ -12,12 +12,11 @@ func eventFrames(t testing.TB) [][]byte {
 	ev := mir.NewObject("ImageData")
 	ev.Fields["buff"] = make(mir.Bytes, 32)
 	ev.Fields["width"] = mir.Int(8)
-	raw, err := Marshal(&Raw{Handler: "push", Seq: 1, Event: ev})
+	raw, err := Marshal(&Raw{Seq: 1, Event: ev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cont, err := Marshal(&Continuation{Handler: "push", Seq: 2, PSEID: 1, ResumeNode: 5,
-		Vars: map[string]mir.Value{"r2": ev, "z0": mir.Int(7)}})
+	cont, err := Marshal(&Continuation{Seq: 2, PSEID: 1, ResumeNode: 5, Vars: slotsOf(ev, mir.Int(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +84,20 @@ func TestBatchDecodeClamps(t *testing.T) {
 // (object field counts, array lengths) are clamped against the remaining
 // input rather than trusted.
 func TestValueDecodeClamps(t *testing.T) {
-	// Raw frame, empty handler, zero seq, object with poisoned field count.
-	obj := []byte{byte(MsgRaw), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-		9 /* tagObject */, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}
-	if _, err := Unmarshal(obj); err == nil {
+	// Raw frame, zero seq, object with an empty class name and a poisoned
+	// field count.
+	obj := []byte{byte(MsgRaw), 0, tagObject, 0, 0xff, 0xff, 0xff, 0x7f}
+	if _, err := unmarshalAll(obj, nil); err == nil {
 		t.Error("poisoned object field count decoded without error")
 	}
-	arr := []byte{byte(MsgRaw), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-		7 /* tagIntArray */, 0xff, 0xff, 0xff, 0x7f}
-	if _, err := Unmarshal(arr); err == nil {
+	arr := []byte{byte(MsgRaw), 0, tagIntArray, 0xff, 0xff, 0xff, 0x7f}
+	if _, err := unmarshalAll(arr, nil); err == nil {
 		t.Error("poisoned int-array length decoded without error")
+	}
+	// A continuation claiming more slots than its bytes hold.
+	cont := []byte{byte(MsgContinuation), 2, 1, 0, 0x7f, tagNull}
+	if _, err := unmarshalAll(cont, nil); err == nil {
+		t.Error("poisoned slot count decoded without error")
 	}
 }
 
@@ -110,7 +113,7 @@ func TestAppendMarshalZeroAllocs(t *testing.T) {
 	ev.Fields["buff"] = make(mir.Bytes, 64)
 	ev.Fields["width"] = mir.Int(8)
 	ev.Fields["height"] = mir.Int(8)
-	msg := &Raw{Handler: "push", Seq: 1, Event: ev}
+	msg := &Raw{Seq: 1, Event: ev, Schema: imageSchema()}
 	buf := make([]byte, 0, 4096)
 	// Warm the pool (first use sizes the encoder buffer and maps).
 	var err error
@@ -155,7 +158,7 @@ func BenchmarkMarshalRaw(b *testing.B) {
 	ev := mir.NewObject("ImageData")
 	ev.Fields["buff"] = make(mir.Bytes, 256)
 	ev.Fields["width"] = mir.Int(16)
-	msg := &Raw{Handler: "push", Seq: 1, Event: ev}
+	msg := &Raw{Seq: 1, Event: ev, Schema: imageSchema()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Marshal(msg); err != nil {
@@ -168,7 +171,7 @@ func BenchmarkAppendMarshalRaw(b *testing.B) {
 	ev := mir.NewObject("ImageData")
 	ev.Fields["buff"] = make(mir.Bytes, 256)
 	ev.Fields["width"] = mir.Int(16)
-	msg := &Raw{Handler: "push", Seq: 1, Event: ev}
+	msg := &Raw{Seq: 1, Event: ev, Schema: imageSchema()}
 	buf := make([]byte, 0, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -27,23 +26,25 @@ func smallFrame() *mir.Object {
 }
 
 // TestUnmarshalAllocs pins the receive path's allocations exactly: the
-// decoder itself, its back-reference table, every integer field and every
-// registered name cost nothing; what remains is what the handler receives.
-// A map costs two objects (header and first group), and a Bytes payload two
-// (its backing array, and the slice header boxed into an mir.Value).
+// decoder itself, its back-reference table, every integer field and the
+// declared class's names cost nothing; what remains is the message
+// envelope and what the handler receives. A map costs two objects (header
+// and first group), and a Bytes payload two (its backing array, and the
+// slice header boxed into an mir.Value).
 func TestUnmarshalAllocs(t *testing.T) {
-	InternNames("push", "ImageData", "width", "height", "buff", "r2", "z0")
+	s := imageSchema()
 	ev := smallFrame()
-	raw, err := Marshal(&Raw{Handler: "push", Seq: 1, Event: ev})
+	raw, err := Marshal(&Raw{Seq: 1, Event: ev, Schema: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqFrame := AppendSeqEvent(nil, 7, raw)
-	cont, err := Marshal(&Continuation{Handler: "push", Seq: 2, PSEID: 1, ResumeNode: 3,
-		Vars: map[string]mir.Value{"r2": ev, "z0": mir.Bool(true)}})
+	cont, err := Marshal(&Continuation{Seq: 2, PSEID: 1, ModWork: 40,
+		Vars: []Slot{{Kind: SlotValue, V: ev}, {Kind: SlotBool, I: 1}, {Kind: SlotInt, I: 1 << 20}}, Schema: s})
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots := make([]Slot, 0, 4)
 	cases := []struct {
 		name string
 		fn   func() (any, error)
@@ -55,11 +56,22 @@ func TestUnmarshalAllocs(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return Unmarshal(m.(*SeqEvent).Payload)
+			r, err := Unmarshal(m.(*SeqEvent).Payload)
+			if err != nil {
+				return nil, err
+			}
+			return r.(*Raw).DecodeEvent(s)
 		}, 7},
-		// Continuation (1) + var map (2) + Object (1) + field map (2) +
-		// buff (2); the Bool is a cached boxed value.
-		{"continuation", func() (any, error) { return Unmarshal(cont) }, 8},
+		// Continuation (1) + Object (1) + field map (2) + buff (2); the
+		// Bool and the large Int stay unboxed slots.
+		{"continuation", func() (any, error) {
+			m, err := Unmarshal(cont)
+			if err != nil {
+				return nil, err
+			}
+			slots, err = m.(*Continuation).DecodeVars(s, 3, slots[:0])
+			return nil, err
+		}, 6},
 	}
 	for _, c := range cases {
 		if _, err := c.fn(); err != nil {
@@ -83,9 +95,10 @@ func TestSizeOfSteadyStateAllocs(t *testing.T) {
 	}
 	ev := smallFrame()
 	ev.Fields["self"] = ev
-	want := SizeOf(ev)
+	sch := imageSchema()
+	want := SizeOf(sch, ev)
 	if n := testing.AllocsPerRun(200, func() {
-		if got := SizeOf(ev); got != want {
+		if got := SizeOf(sch, ev); got != want {
 			t.Fatalf("SizeOf = %d, want %d", got, want)
 		}
 	}); n != 0 {
@@ -102,18 +115,18 @@ func TestDecodedArraysDoNotAliasInput(t *testing.T) {
 	ev.Fields["b"] = mir.Bytes{1, 2, 3, 4}
 	ev.Fields["i"] = mir.IntArray{-5, 6, 1 << 40}
 	ev.Fields["f"] = mir.FloatArray{0.5, -2.25}
-	data, err := Marshal(&Raw{Handler: "h", Seq: 1, Event: ev})
+	data, err := Marshal(&Raw{Seq: 1, Event: ev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := Unmarshal(data)
+	msg, err := unmarshalAll(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
 		data[i] = 0xa5
 	}
-	got := msg.(*Raw).Event
+	got := msg.(mir.Value)
 	if !mir.Equal(got, ev) {
 		t.Fatalf("decoded event changed with its input: %v", got.(*mir.Object).Fields)
 	}
@@ -128,21 +141,21 @@ func TestDecodeNeverGrowsInternTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ev := smallFrame()
 	ev.Fields["novel-field"] = mir.Int(1)
-	valid, err := Marshal(&Continuation{Handler: "never-compiled", Seq: 2, PSEID: 1,
-		Vars: map[string]mir.Value{"novel-var": ev}})
+	ev.Fields["novel-obj"] = mir.NewObject("NovelClass")
+	valid, err := Marshal(&Continuation{Seq: 2, PSEID: 1, Vars: slotsOf(ev), Schema: imageSchema()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(valid); err != nil {
+	if _, err := unmarshalAll(valid, imageSchema()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
 		mut := append([]byte(nil), valid...)
 		mut[rng.Intn(len(mut))] ^= byte(rng.Intn(255) + 1)
-		_, _ = Unmarshal(mut)
+		_, _ = unmarshalAll(mut, imageSchema())
 		junk := make([]byte, rng.Intn(64))
 		rng.Read(junk)
-		_, _ = Unmarshal(junk)
+		_, _ = unmarshalAll(junk, nil)
 	}
 	if got := InternedNames(); got != before {
 		t.Fatalf("decoding changed the intern table from %d to %d names", before, got)
@@ -200,27 +213,27 @@ func TestInternedNameDecodesShared(t *testing.T) {
 
 // TestTruncationErrors pins the decoder's short-input contract, inherited
 // from io.ReadFull: a frame cut at a field boundary fails with io.EOF, one
-// cut inside a scalar field with io.ErrUnexpectedEOF.
+// cut inside a field with io.ErrUnexpectedEOF.
 func TestTruncationErrors(t *testing.T) {
-	data, err := Marshal(&Raw{Handler: "h", Seq: 1 << 50, Event: mir.Int(7)})
+	data, err := Marshal(&Raw{Seq: 1 << 50, Event: mir.Int(1 << 40)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// tag(1) + name length(4) + "h"(1) = 6 bytes before the u64 Seq.
-	const seqAt = 6
-	if _, err := Unmarshal(data[:seqAt]); !errors.Is(err, io.EOF) {
+	// tag(1), then the varint Seq: 8 bytes for 51 significant bits.
+	const seqAt, seqLen = 1, 8
+	if _, err := unmarshalAll(data[:seqAt], nil); !errors.Is(err, io.EOF) {
 		t.Errorf("cut before Seq: err = %v, want io.EOF", err)
 	}
-	for cut := seqAt + 1; cut < seqAt+8; cut++ {
-		if _, err := Unmarshal(data[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
+	for cut := seqAt + 1; cut < seqAt+seqLen; cut++ {
+		if _, err := unmarshalAll(data[:cut], nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("cut %d bytes into Seq: err = %v, want io.ErrUnexpectedEOF", cut-seqAt, err)
 		}
 	}
-	// The event's value tag, then inside its u64.
-	if _, err := Unmarshal(data[:seqAt+8]); !errors.Is(err, io.EOF) {
+	// The event's value tag, then inside its varint.
+	if _, err := unmarshalAll(data[:seqAt+seqLen], nil); !errors.Is(err, io.EOF) {
 		t.Errorf("cut before the event: err = %v, want io.EOF", err)
 	}
-	if _, err := Unmarshal(data[:seqAt+8+1+3]); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := unmarshalAll(data[:seqAt+seqLen+1+3], nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("cut inside the event's int: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -269,28 +282,28 @@ func TestSizeOfMatchesEncodedLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
 		v := randomGraph(rng)
-		e := NewEncoder()
+		e := NewEncoder(nil)
 		if err := e.EncodeValue(v); err != nil {
 			t.Fatal(err)
 		}
 		want := int64(e.Len())
 		for rep := 0; rep < 8; rep++ {
-			if got := SizeOf(v); got != want {
+			if got := SizeOf(nil, v); got != want {
 				t.Fatalf("graph %d rep %d: SizeOf = %d, encoded length %d", i, rep, got, want)
 			}
 		}
 		// A group sharing references across values, as a continuation's
 		// variables do.
 		w := randomGraph(rng)
-		group := []mir.Value{v, w, v}
-		e = NewEncoder()
+		group := slotsOf(v, w, v, nil, mir.Int(rng.Int63()))
+		e = NewEncoder(nil)
 		for _, x := range group {
-			if err := e.EncodeValue(x); err != nil {
+			if err := e.EncodeSlot(x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := SizeOfAll(group); got != int64(e.Len()) {
-			t.Fatalf("graph %d: SizeOfAll = %d, encoded length %d", i, got, e.Len())
+		if got := SizeOfSlots(nil, group); got != int64(e.Len()) {
+			t.Fatalf("graph %d: SizeOfSlots = %d, encoded length %d", i, got, e.Len())
 		}
 	}
 }
@@ -341,16 +354,16 @@ func TestInternConcurrentWithDecode(t *testing.T) {
 // claiming as many fields as the per-level clamp admits. It ends inside
 // the innermost object, so decoding fails after every level was opened.
 func nestedClaimFrame(levels int) []byte {
-	const perLevel = 1 + 4 + 4 + 4 // tag, class length, count, field name length
-	head := []byte{byte(MsgRaw), 1, 0, 0, 0, 'h', 0, 0, 0, 0, 0, 0, 0, 0}
-	frame := append([]byte(nil), head...)
+	// tag, class length, a 3-byte count, field name length.
+	const perLevel = 1 + 1 + 3 + 1
+	frame := []byte{byte(MsgRaw), 1}
 	body := levels * perLevel
 	for i := 0; i < levels; i++ {
-		remaining := body - i*perLevel - 9 // after this level's count
-		frame = append(frame, tagObject)
-		frame = binary.LittleEndian.AppendUint32(frame, 0)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(remaining/5))
-		frame = binary.LittleEndian.AppendUint32(frame, 0)
+		remaining := body - i*perLevel - 5 // after this level's count
+		claim := remaining / 2
+		// The count as a 3-byte varint: padded, so every level is the
+		// same size.
+		frame = append(frame, tagObject, 0, byte(claim)|0x80, byte(claim>>7)|0x80, byte(claim>>14), 0)
 	}
 	return frame
 }
@@ -364,7 +377,7 @@ func decodeAllocBytes(t *testing.T, frame []byte) uint64 {
 	var before, after runtime.MemStats
 	for i := 0; i < 3; i++ {
 		runtime.ReadMemStats(&before)
-		if _, err := Unmarshal(frame); err == nil {
+		if _, err := unmarshalAll(frame, nil); err == nil {
 			t.Fatal("truncated nested frame decoded without error")
 		}
 		runtime.ReadMemStats(&after)
@@ -395,18 +408,17 @@ func TestNestedFieldCountsAllocateLinearly(t *testing.T) {
 	}
 }
 
-// nestedFrame is a complete Raw frame (handler "h", seq 0) whose event is
-// levels objects deep: each has an empty class and one empty-named field
-// holding the next, and the innermost has no fields. A level costs 13 B.
+// nestedFrame is a complete Raw frame (seq 0) whose event is levels
+// objects deep: each has an empty class and one empty-named field holding
+// the next, and the innermost has no fields. A level costs 4 B.
 func nestedFrame(levels int) []byte {
-	frame := []byte{byte(MsgRaw), 1, 0, 0, 0, 'h', 0, 0, 0, 0, 0, 0, 0, 0}
+	frame := []byte{byte(MsgRaw), 0}
 	for i := 0; i < levels; i++ {
-		frame = append(frame, tagObject, 0, 0, 0, 0)
+		frame = append(frame, tagObject, 0)
 		if i == levels-1 {
-			return binary.LittleEndian.AppendUint32(frame, 0)
+			return append(frame, 0)
 		}
-		frame = binary.LittleEndian.AppendUint32(frame, 1)
-		frame = binary.LittleEndian.AppendUint32(frame, 0)
+		frame = append(frame, 1, 0)
 	}
 	return frame
 }
@@ -420,13 +432,13 @@ func nestedValue(levels int) *mir.Object {
 	return v
 }
 
-// TestDeepFrameRejected: a 5.2 MB frame nesting 400k objects used to
+// TestDeepFrameRejected: a 1.6 MB frame nesting 400k objects used to
 // overflow the decoding goroutine's stack, a fatal error that ends the
 // process. It must fail as a decode error, well inside a 16 MiB stack.
 func TestDeepFrameRejected(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
 	frame := nestedFrame(400_000)
-	if m, err := Unmarshal(frame); !errors.Is(err, errValueTooDeep) {
+	if m, err := unmarshalAll(frame, nil); !errors.Is(err, errValueTooDeep) {
 		t.Fatalf("decoding %d B of nested objects: %v, %T; want errValueTooDeep", len(frame), err, m)
 	}
 }
@@ -435,7 +447,7 @@ func TestDeepFrameRejected(t *testing.T) {
 // refuses. A value maxValueDepth objects deep round-trips; one level more
 // fails both Marshal and Unmarshal.
 func TestNestingBoundSymmetric(t *testing.T) {
-	at := &Raw{Handler: "h", Event: nestedValue(maxValueDepth)}
+	at := &Raw{Event: nestedValue(maxValueDepth)}
 	data, err := Marshal(at)
 	if err != nil {
 		t.Fatalf("marshal at the bound: %v", err)
@@ -443,18 +455,18 @@ func TestNestingBoundSymmetric(t *testing.T) {
 	if !bytes.Equal(data, nestedFrame(maxValueDepth)) {
 		t.Fatal("marshalled value differs from the hand-built frame")
 	}
-	got, err := Unmarshal(data)
+	got, err := unmarshalAll(data, nil)
 	if err != nil {
 		t.Fatalf("unmarshal at the bound: %v", err)
 	}
-	if !mir.Equal(got.(*Raw).Event, at.Event) {
+	if !mir.Equal(got.(mir.Value), at.Event) {
 		t.Fatal("value at the bound did not round-trip")
 	}
 
-	if _, err := Marshal(&Raw{Handler: "h", Event: nestedValue(maxValueDepth + 1)}); !errors.Is(err, errValueTooDeep) {
+	if _, err := Marshal(&Raw{Event: nestedValue(maxValueDepth + 1)}); !errors.Is(err, errValueTooDeep) {
 		t.Fatalf("marshal past the bound: %v, want errValueTooDeep", err)
 	}
-	if _, err := Unmarshal(nestedFrame(maxValueDepth + 1)); !errors.Is(err, errValueTooDeep) {
+	if _, err := unmarshalAll(nestedFrame(maxValueDepth+1), nil); !errors.Is(err, errValueTooDeep) {
 		t.Fatalf("unmarshal past the bound: %v, want errValueTooDeep", err)
 	}
 }

@@ -2,9 +2,9 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"methodpart/internal/mir"
@@ -12,19 +12,25 @@ import (
 
 // ProtocolVersion is the one wire protocol revision both ends speak. A
 // subscription handshake carries it, and a publisher refuses any other
-// revision before compiling or sending anything. Revision 7 is: Raw and
+// revision before compiling or sending anything. Revision 8 is: Raw and
 // Continuation event frames, optionally coalesced into Batch frames;
 // Feedback (per-PSE statistics with failure counts and the sender's plan
 // version), Plan and Nack control frames; Heartbeats that carry a flag byte
-// for a piggybacked ack and an echo of the peer's probe, from which each end
-// measures round-trip time on its own clock; and the opt-in at-least-once
-// layer (SeqEvent envelopes, Ack, Lost and StreamStart frames, and the
-// Subscribe handshake's Reliability, ResumeSeq and ResumeEpoch fields; see
-// reliable.go). Every field is always written and always required.
-// Revision 6 also had a retransmit request (tag 10) for repairing gaps on
-// a live connection; revision 7 declares every skip in order and replays
-// only on resume, so tag 10 no longer decodes.
-const ProtocolVersion uint32 = 7
+// for a piggybacked ack and an echo of the peer's probe; and the opt-in
+// at-least-once layer (SeqEvent envelopes, Ack, Lost and StreamStart
+// frames, and the Subscribe handshake's Reliability, ResumeSeq and
+// ResumeEpoch fields; see reliable.go). Every field is always written and
+// always required.
+//
+// Revision 8 compiles the event frames against the program the handshake
+// bound the connection to. A Raw frame is (seq, event) and a Continuation
+// (PSE id, seq, ModWork, slot values in the PSE's variable order), with
+// varint integers and no handler, class, field or variable names; objects
+// of declared classes travel as (class index, field values in declared
+// order) — see Schema. Revision 7 spelled every name out and wrote
+// fixed-width integers; tag 10, revision 6's retransmit request, no longer
+// decodes.
+const ProtocolVersion uint32 = 8
 
 // MsgType identifies a framed message.
 type MsgType byte
@@ -144,7 +150,11 @@ const (
 // liveness; heartbeats exist so liveness frames keep flowing when no events,
 // feedback or plans are due.
 type Heartbeat struct {
-	// Seq increases per heartbeat sent on one connection.
+	// Seq marks a probe: a heartbeat with Seq > 0 asks the peer for an
+	// echo, and Seq increases per probe sent on one connection. Seq 0 is
+	// a plain liveness frame. A subscriber probes on every heartbeat (its
+	// RTT samples); a publisher only once the subscriber has been silent
+	// for a while.
 	Seq uint64
 	// HasAck marks a subscriber heartbeat carrying a piggybacked
 	// cumulative delivery ack: an at-least-once subscriber restates its
@@ -157,43 +167,129 @@ type Heartbeat struct {
 	AckSeq uint64
 	// HasEcho marks a heartbeat reflecting a peer's probe: EchoSeq
 	// repeats the Seq of a heartbeat the peer sent, so the peer can
-	// subtract its recorded send time and obtain one round-trip sample
-	// per heartbeat interval. A pure echo carries Seq 0; endpoints only
-	// echo heartbeats with Seq > 0, so two peers cannot reflect echoes
-	// back and forth forever.
+	// subtract its recorded send time and obtain one round-trip sample.
+	// A pure echo carries Seq 0; endpoints only echo heartbeats with
+	// Seq > 0, so two peers cannot reflect echoes back and forth forever.
 	HasEcho bool
 	// EchoSeq is the reflected probe Seq (meaningful only when HasEcho is
 	// set).
 	EchoSeq uint64
 }
 
-// Raw is an unmodulated event message.
+// Raw is an unmodulated event message: (seq, event value). The event is
+// encoded under Schema. A decoded Raw keeps the encoded event as a view of
+// the frame; DecodeEvent decodes it against the receiver's schema.
 type Raw struct {
-	// Handler names the receiving handler.
-	Handler string
 	// Seq is the per-subscription sequence number.
 	Seq uint64
-	// Event is the event value.
+	// Event is the event value. Unmarshal leaves it nil; see DecodeEvent.
 	Event mir.Value
+	// Schema is the layout the sender encodes Event under (nil: every
+	// object in the tagged form). Not on the wire.
+	Schema *Schema
+
+	// body is the encoded event, a view of the decoded frame.
+	body []byte
+}
+
+// DecodeEvent returns the event: the decoded frame's event value under s,
+// or Event for a message that was never marshalled. The decoded value is a
+// copy, never a view of the frame.
+func (r *Raw) DecodeEvent(s *Schema) (mir.Value, error) {
+	if r.body == nil {
+		return r.Event, nil
+	}
+	d := Decoder{data: r.body, schema: s}
+	v, err := d.DecodeValue()
+	if err != nil {
+		return nil, err
+	}
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("wire: raw event has %d trailing bytes", d.Remaining())
+	}
+	return v, nil
 }
 
 // Continuation is the remote-continuation message (§2.4): the PSE where
-// modulator-side processing stopped, the node at which the demodulator must
-// resume, and the live variables of the split edge.
+// modulator-side processing stopped and the live variables of the split
+// edge, one slot per entry of the PSE's variable list, in that order. The
+// resume node is not on the wire: the receiver derives it from the PSE.
 type Continuation struct {
-	// Handler names the receiving handler.
-	Handler string
 	// Seq is the per-subscription sequence number.
 	Seq uint64
-	// PSEID is the unique id of the split edge.
+	// PSEID is the unique id of the split edge; negative for a forced
+	// split at an edge that is not a PSE (see Forced).
 	PSEID int32
-	// ResumeNode is the instruction index at which to resume.
+	// Forced indexes the program's forced-split edges when PSEID is
+	// negative; it is on the wire only then.
+	Forced uint32
+	// ResumeNode is the instruction index at which to resume. The sender
+	// sets it for its own reporting; it is not on the wire.
 	ResumeNode int32
-	// Vars is the live-variable snapshot (register name → value).
-	Vars map[string]mir.Value
 	// ModWork is the work (in work units) the modulator spent on this
 	// message, carried for demodulator-side profiling.
 	ModWork int64
+	// Vars holds the live variables in slot order; an unset register is a
+	// SlotAbsent slot. Unmarshal leaves it nil; see DecodeVars.
+	Vars []Slot
+	// Schema is the layout the sender encodes object values under. Not on
+	// the wire.
+	Schema *Schema
+
+	// body is the encoded slot count and slots, a view of the decoded
+	// frame.
+	body []byte
+}
+
+// ErrSlotCount reports a continuation whose slot count does not match the
+// PSE it names: its variables cannot be restored.
+var ErrSlotCount = errors.New("wire: continuation slot count does not match its PSE")
+
+// DecodeVars appends the continuation's want slots to dst and returns the
+// extended slice: from the decoded frame under s, or Vars for a message
+// that was never marshalled. A slot count other than want is an error.
+func (c *Continuation) DecodeVars(s *Schema, want int, dst []Slot) ([]Slot, error) {
+	if c.body == nil {
+		if len(c.Vars) != want {
+			return dst, fmt.Errorf("%w: %d slots, want %d", ErrSlotCount, len(c.Vars), want)
+		}
+		return append(dst, c.Vars...), nil
+	}
+	d := Decoder{data: c.body, schema: s}
+	n, err := d.readUvarint()
+	if err != nil {
+		return dst, err
+	}
+	if n != uint64(want) {
+		return dst, fmt.Errorf("%w: %d slots, want %d", ErrSlotCount, n, want)
+	}
+	for i := 0; i < want; i++ {
+		sl, err := d.DecodeSlot()
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, sl)
+	}
+	if d.Remaining() != 0 {
+		return dst, fmt.Errorf("wire: continuation has %d trailing bytes", d.Remaining())
+	}
+	return dst, nil
+}
+
+// FrameSize is the encoded length of r's frame, priced without encoding.
+func (r *Raw) FrameSize() int64 {
+	if r.body != nil {
+		return RawFrameSize(r.Seq, int64(len(r.body)))
+	}
+	return RawFrameSize(r.Seq, SizeOf(r.Schema, r.Event))
+}
+
+// FrameSize is the encoded length of c's frame, priced without encoding.
+func (c *Continuation) FrameSize() int64 {
+	if c.body != nil {
+		return continuationHeaderSize(c.PSEID, c.Forced, c.Seq, c.ModWork) + int64(len(c.body))
+	}
+	return ContinuationFrameSize(c.PSEID, c.Forced, c.Seq, c.ModWork, len(c.Vars), SizeOfSlots(c.Schema, c.Vars))
 }
 
 // PSEStat is one PSE's profiling record inside a Feedback message.
@@ -287,7 +383,7 @@ type Subscribe struct {
 // and AppendMarshal calls, so steady-state message encoding allocates only
 // what the caller asks for (the returned slice in Marshal, nothing in
 // AppendMarshal when dst has capacity).
-var encoderPool = sync.Pool{New: func() any { return NewEncoder() }}
+var encoderPool = sync.Pool{New: func() any { return NewEncoder(nil) }}
 
 // Marshal encodes the message with its type tag (but no length frame). The
 // returned slice is freshly allocated and owned by the caller; hot paths
@@ -328,33 +424,34 @@ func (e *Encoder) encodeMessage(msg any) error {
 	switch m := msg.(type) {
 	case *Raw:
 		e.w.WriteByte(byte(MsgRaw))
-		e.writeString(m.Handler)
-		e.writeU64(m.Seq)
+		e.writeUvarint(m.Seq)
+		if m.body != nil {
+			e.w.Write(m.body)
+			break
+		}
+		e.schema = m.Schema
 		if err := e.EncodeValue(m.Event); err != nil {
 			return err
 		}
 	case *Continuation:
 		e.w.WriteByte(byte(MsgContinuation))
-		e.writeString(m.Handler)
-		e.writeU64(m.Seq)
-		e.writeU32(uint32(m.PSEID))
-		e.writeU32(uint32(m.ResumeNode))
-		e.writeU64(uint64(m.ModWork))
-		base := len(e.names)
-		for n := range m.Vars {
-			e.names = append(e.names, n)
+		e.writeVarint(int64(m.PSEID))
+		if m.PSEID < 0 {
+			e.writeUvarint(uint64(m.Forced))
 		}
-		names := e.names[base:]
-		slices.Sort(names)
-		e.writeU32(uint32(len(names)))
-		for _, n := range names {
-			e.writeString(n)
-			if err := e.EncodeValue(m.Vars[n]); err != nil {
-				e.names = e.names[:base]
+		e.writeUvarint(m.Seq)
+		e.writeVarint(m.ModWork)
+		if m.body != nil {
+			e.w.Write(m.body)
+			break
+		}
+		e.schema = m.Schema
+		e.writeUvarint(uint64(len(m.Vars)))
+		for _, sl := range m.Vars {
+			if err := e.EncodeSlot(sl); err != nil {
 				return err
 			}
 		}
-		e.names = e.names[:base]
 	case *Batch:
 		e.w.WriteByte(byte(MsgBatch))
 		e.writeU32(uint32(len(m.Entries)))
@@ -477,8 +574,8 @@ func AppendBatch(dst []byte, entries [][]byte) []byte {
 // Unmarshal decodes a message produced by Marshal. The concrete type of the
 // result is *Raw, *Continuation, *Feedback, *Plan, *Subscribe, *Heartbeat,
 // *Nack, *Batch, *Ack, *Lost, *SeqEvent or *StreamStart.
-// Batch entries and SeqEvent payloads alias data; they stay valid only as
-// long as the input does.
+// Batch entries, SeqEvent payloads and the encoded values of Raw and
+// Continuation alias data; they stay valid only as long as the input does.
 func Unmarshal(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: empty message")
@@ -490,65 +587,48 @@ func Unmarshal(data []byte) (any, error) {
 		return unmarshalSeqEvent(data[1:])
 	}
 	// A stack decoder: only the decoded message and its values reach the
-	// heap.
+	// heap. Event values stay encoded as views of data until the receiver
+	// decodes them against its schema.
 	d := &Decoder{data: data[1:]}
 	switch MsgType(data[0]) {
 	case MsgRaw:
 		m := &Raw{}
 		var err error
-		if m.Handler, err = d.readName(); err != nil {
+		if m.Seq, err = d.readUvarint(); err != nil {
 			return nil, err
 		}
-		if m.Seq, err = d.readU64(); err != nil {
-			return nil, err
-		}
-		if m.Event, err = d.DecodeValue(); err != nil {
+		if m.body, err = d.rest("raw event"); err != nil {
 			return nil, err
 		}
 		return m, nil
 	case MsgContinuation:
 		m := &Continuation{}
-		var err error
-		if m.Handler, err = d.readName(); err != nil {
-			return nil, err
-		}
-		if m.Seq, err = d.readU64(); err != nil {
-			return nil, err
-		}
-		pse, err := d.readU32()
+		pse, err := d.readVarint()
 		if err != nil {
 			return nil, err
+		}
+		if pse < math.MinInt32 || pse > math.MaxInt32 {
+			return nil, fmt.Errorf("wire: pse id %d out of range", pse)
 		}
 		m.PSEID = int32(pse)
-		node, err := d.readU32()
-		if err != nil {
-			return nil, err
-		}
-		m.ResumeNode = int32(node)
-		work, err := d.readU64()
-		if err != nil {
-			return nil, err
-		}
-		m.ModWork = int64(work)
-		n, err := d.readU32()
-		if err != nil {
-			return nil, err
-		}
-		// Each var costs at least a 4-byte name length + 1-byte value tag.
-		if int64(n) > int64(d.Remaining())/5 {
-			return nil, fmt.Errorf("wire: var count %d exceeds remaining payload", n)
-		}
-		m.Vars = make(map[string]mir.Value, n)
-		for i := uint32(0); i < n; i++ {
-			name, err := d.readName()
+		if m.PSEID < 0 {
+			forced, err := d.readUvarint()
 			if err != nil {
 				return nil, err
 			}
-			v, err := d.DecodeValue()
-			if err != nil {
-				return nil, err
+			if forced > math.MaxUint32 {
+				return nil, fmt.Errorf("wire: forced split %d out of range", forced)
 			}
-			m.Vars[name] = v
+			m.Forced = uint32(forced)
+		}
+		if m.Seq, err = d.readUvarint(); err != nil {
+			return nil, err
+		}
+		if m.ModWork, err = d.readVarint(); err != nil {
+			return nil, err
+		}
+		if m.body, err = d.rest("continuation slots"); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case MsgFeedback:

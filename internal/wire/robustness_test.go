@@ -15,9 +15,8 @@ func TestUnmarshalNeverPanicsOnTruncation(t *testing.T) {
 	ev.Fields["buff"] = make(mir.Bytes, 100)
 	ev.Fields["width"] = mir.Int(10)
 	msgs := []any{
-		&Raw{Handler: "h", Seq: 1, Event: ev},
-		&Continuation{Handler: "h", Seq: 2, PSEID: 1, ResumeNode: 3,
-			Vars: map[string]mir.Value{"a": ev, "b": mir.Int(1)}},
+		&Raw{Seq: 1, Event: ev},
+		&Continuation{Seq: 2, PSEID: 1, Vars: slotsOf(ev, mir.Int(1))},
 		&Feedback{Handler: "h", Stats: []PSEStat{{ID: 1, Count: 5, Bytes: 10, Failures: 2}}},
 		&Plan{Handler: "h", Version: 1, Split: []int32{1}, Profile: []int32{0, 1}},
 		&Subscribe{Subscriber: "s", Handler: "h", Source: "src", CostModel: "datasize", Natives: []string{"n"}},
@@ -35,7 +34,7 @@ func TestUnmarshalNeverPanicsOnTruncation(t *testing.T) {
 						t.Fatalf("%T truncated at %d panicked: %v", m, cut, r)
 					}
 				}()
-				_, _ = Unmarshal(data[:cut])
+				_, _ = unmarshalAll(data[:cut], nil)
 			}()
 		}
 	}
@@ -44,8 +43,8 @@ func TestUnmarshalNeverPanicsOnTruncation(t *testing.T) {
 // TestUnmarshalNeverPanicsOnMutation: single-byte corruptions either decode
 // to something or error — never panic, never allocate absurd amounts.
 func TestUnmarshalNeverPanicsOnMutation(t *testing.T) {
-	cont := &Continuation{Handler: "push", Seq: 9, PSEID: 2, ResumeNode: 5,
-		Vars: map[string]mir.Value{"x": mir.IntArray{1, 2, 3}, "s": mir.Str("hello")}}
+	cont := &Continuation{Seq: 9, PSEID: 2, Vars: slotsOf(mir.IntArray{1, 2, 3}, mir.Str("hello"), smallFrame()),
+		Schema: imageSchema()}
 	data, err := Marshal(cont)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestUnmarshalNeverPanicsOnMutation(t *testing.T) {
 				t.Fatalf("mutation at %d panicked: %v", int(pos)%len(mut), r)
 			}
 		}()
-		_, _ = Unmarshal(mut)
+		_, _ = unmarshalAll(mut, imageSchema())
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -70,16 +69,16 @@ func TestUnmarshalNeverPanicsOnMutation(t *testing.T) {
 // TestDecoderLengthGuards: absurd length prefixes must be rejected before
 // allocation.
 func TestDecoderLengthGuards(t *testing.T) {
-	// tagStr with length 0xffffffff and no payload.
-	d := NewDecoder([]byte{tagStr, 0xff, 0xff, 0xff, 0xff})
+	// tagStr with length 2^35-1 and no payload.
+	d := NewDecoder([]byte{tagStr, 0xff, 0xff, 0xff, 0xff, 0x7f}, nil)
 	if _, err := d.DecodeValue(); err == nil {
 		t.Error("oversized string accepted")
 	}
-	d = NewDecoder([]byte{tagIntArray, 0xff, 0xff, 0xff, 0x7f})
+	d = NewDecoder([]byte{tagIntArray, 0xff, 0xff, 0xff, 0x7f}, nil)
 	if _, err := d.DecodeValue(); err == nil {
 		t.Error("oversized int array accepted")
 	}
-	d = NewDecoder([]byte{tagBytes, 0xff, 0xff, 0x00, 0x00, 1, 2})
+	d = NewDecoder([]byte{tagBytes, 0xff, 0xff, 0x03, 1, 2}, nil)
 	if _, err := d.DecodeValue(); err == nil {
 		t.Error("oversized bytes accepted")
 	}

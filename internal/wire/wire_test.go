@@ -9,11 +9,11 @@ import (
 
 func roundTrip(t *testing.T, v mir.Value) mir.Value {
 	t.Helper()
-	e := NewEncoder()
+	e := NewEncoder(nil)
 	if err := e.EncodeValue(v); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.Bytes(), nil)
 	out, err := d.DecodeValue()
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestSharedReferences(t *testing.T) {
 	obj := mir.NewObject("Big")
 	obj.Fields["buff"] = make(mir.Bytes, 1000)
 
-	e := NewEncoder()
+	e := NewEncoder(nil)
 	if err := e.EncodeValue(obj); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSharedReferences(t *testing.T) {
 		t.Fatalf("duplicate reference cost = %d, want %d", dupCost, refSize)
 	}
 
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.Bytes(), nil)
 	a, err := d.DecodeValue()
 	if err != nil {
 		t.Fatal(err)
@@ -90,14 +90,14 @@ func TestSharedSliceReferences(t *testing.T) {
 	o1.Fields["b"] = buf
 	o2 := mir.NewObject("B")
 	o2.Fields["b"] = buf
-	e := NewEncoder()
+	e := NewEncoder(nil)
 	if err := e.EncodeValue(o1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.EncodeValue(o2); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.Bytes(), nil)
 	d1, _ := d.DecodeValue()
 	d2, err := d.DecodeValue()
 	if err != nil {
@@ -125,8 +125,8 @@ func TestSizerMatchesEncoder(t *testing.T) {
 		mir.Null{}, mir.Bool(true), mir.Int(5), mir.Float(2.5),
 		mir.Str("xyz"), mir.Bytes{9, 9}, mir.IntArray{1}, obj, obj,
 	}
-	e := NewEncoder()
-	s := NewSizer()
+	e := NewEncoder(nil)
+	s := NewSizer(nil)
 	var sized int64
 	for _, v := range values {
 		if err := e.EncodeValue(v); err != nil {
@@ -146,11 +146,11 @@ func TestSizerPropertyMatchesEncoder(t *testing.T) {
 		obj.Fields["b"] = mir.Bytes(bs)
 		obj.Fields["c"] = mir.Str(s)
 		obj.Fields["d"] = mir.Int(n)
-		e := NewEncoder()
+		e := NewEncoder(nil)
 		if err := e.EncodeValue(obj); err != nil {
 			return false
 		}
-		return int64(e.Len()) == SizeOf(obj)
+		return int64(e.Len()) == SizeOf(nil, obj)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -161,17 +161,12 @@ func TestMessageRoundTrips(t *testing.T) {
 	ev := mir.NewObject("ImageData")
 	ev.Fields["buff"] = mir.Bytes{1, 2, 3}
 	msgs := []any{
-		&Raw{Handler: "push", Seq: 7, Event: ev},
+		&Raw{Seq: 7, Event: ev},
 		&Continuation{
-			Handler:    "push",
-			Seq:        9,
-			PSEID:      2,
-			ResumeNode: 5,
-			ModWork:    1234,
-			Vars: map[string]mir.Value{
-				"r3": ev,
-				"i":  mir.Int(3),
-			},
+			Seq:     9,
+			PSEID:   2,
+			ModWork: 1234,
+			Vars:    slotsOf(ev, mir.Int(3), nil),
 		},
 		&Feedback{
 			Handler:     "push",
@@ -196,20 +191,22 @@ func TestMessageRoundTrips(t *testing.T) {
 		switch orig := m.(type) {
 		case *Raw:
 			got := back.(*Raw)
-			if got.Handler != orig.Handler || got.Seq != orig.Seq || !mir.Equal(got.Event, orig.Event) {
-				t.Errorf("raw round trip: %+v", got)
+			ev, err := got.DecodeEvent(nil)
+			if err != nil || got.Seq != orig.Seq || !mir.Equal(ev, orig.Event) {
+				t.Errorf("raw round trip: %+v, %v", got, err)
 			}
 		case *Continuation:
 			got := back.(*Continuation)
-			if got.PSEID != orig.PSEID || got.ResumeNode != orig.ResumeNode || got.ModWork != orig.ModWork {
+			if got.Seq != orig.Seq || got.PSEID != orig.PSEID || got.ModWork != orig.ModWork {
 				t.Errorf("continuation header: %+v", got)
 			}
-			if len(got.Vars) != len(orig.Vars) {
-				t.Errorf("vars = %v", got.Vars)
+			vars, err := got.DecodeVars(nil, len(orig.Vars), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k, v := range orig.Vars {
-				if !mir.Equal(got.Vars[k], v) {
-					t.Errorf("var %s = %v, want %v", k, got.Vars[k], v)
+			for i, v := range orig.Vars {
+				if !mir.Equal(vars[i].Value(), v.Value()) {
+					t.Errorf("slot %d = %v, want %v", i, vars[i].Value(), v.Value())
 				}
 			}
 		case *Feedback:
@@ -259,7 +256,7 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestDanglingReference(t *testing.T) {
-	d := NewDecoder([]byte{tagRef, 9, 0, 0, 0})
+	d := NewDecoder([]byte{tagRef, 9, 0, 0, 0}, nil)
 	if _, err := d.DecodeValue(); err == nil {
 		t.Error("dangling reference accepted")
 	}
