@@ -152,7 +152,7 @@ func TestDegradeInstallsFallbackCut(t *testing.T) {
 	defer pub.Close()
 	dialLite(t, mem, pub.Addr(), "degraded")
 	waitFor(t, "registration", func() bool { return pub.Subscribers() == 1 && pub.PlanClasses() == 1 })
-	s := pub.reg.snapshot()[0]
+	s := soleSubscription(t, pub)
 	tbl := s.compiled.CutTable(reconfig.DefaultMaxCandidates)
 	last := tbl.Cuts[len(tbl.Cuts)-1]
 

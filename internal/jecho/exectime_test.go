@@ -62,9 +62,7 @@ func TestExecTimeAdaptationOverTCP(t *testing.T) {
 
 	const frames = 40
 	for i := 0; i < frames; i++ {
-		if _, err := pub.Publish(sensor.NewFrame(int64(i), 512)); err != nil {
-			t.Fatal(err)
-		}
+		publishReaching(t, pub, sensor.NewFrame(int64(i), 512), 1)
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitCount(t, res, frames)

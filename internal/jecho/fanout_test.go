@@ -13,7 +13,6 @@ import (
 	"methodpart/internal/mir/interp"
 	"methodpart/internal/obsv"
 	"methodpart/internal/partition"
-	"methodpart/internal/profileunit"
 	"methodpart/internal/transport"
 	"methodpart/internal/wire"
 )
@@ -501,45 +500,17 @@ func TestChurnRacePublishSubscribeDegrade(t *testing.T) {
 // allocation noise to AllocsPerRun.
 func newFanoutAllocHarness(t testing.TB, members int) (*Publisher, mir.Value) {
 	t.Helper()
-	reg, _ := imaging.Builtins()
-	p := &Publisher{cfg: PublisherConfig{
-		Builtins:      reg,
-		FeedbackEvery: 1 << 60, // never due: feedback marshals are amortized, not per-event
-		Logf:          func(string, ...any) {},
-	}}
-	p.reg.init()
-	p.classes.init()
-	p.programs = make(map[string]*compiledEntry)
-	entry, err := p.compileCached(&wire.Subscribe{
-		Protocol:   wire.ProtocolVersion,
-		Subscriber: "alloc",
-		Handler:    imaging.HandlerName,
-		Source:     imaging.HandlerSource(64),
-		CostModel:  costmodel.DataSizeName,
-		Natives:    []string{"displayImage"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const never = 1 << 60 // feedback is never due: its marshals are amortized, not per-event
+	p := barePublisher(never)
+	entry := compileImaging(t, p)
 	plan, err := partition.NewPlan(entry.compiled.NumPSEs(), 0, []int32{partition.RawPSEID}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < members; i++ {
-		s := &subscription{
-			id:       fmt.Sprintf("alloc#%d", i),
-			compiled: entry.compiled,
-			env:      entry.env,
-			progKey:  entry.key,
-			trigger:  &profileunit.RateTrigger{EveryMessages: 1 << 60},
-			metrics:  &channelMetrics{},
+		if !p.register(bareSubscription(entry, never), "alloc", plan) {
+			t.Fatal("harness publisher refused a registration")
 		}
-		s.pipe = newSendPipeline(nil, 4, DropNewest, supervision{}, batchConfig{}, s.metrics, nil)
-		p.reg.insert(s)
-		p.classes.mu.Lock()
-		p.joinClassLocked(s, plan, nil)
-		p.classes.rebuildLocked()
-		p.classes.mu.Unlock()
 	}
 	return p, imaging.NewFrame(32, 32, 1)
 }

@@ -87,6 +87,21 @@ func (r *results) splitPSEs() []int32 {
 	return out
 }
 
+// publishReaching publishes ev and fails unless it reached exactly want
+// subscriptions without error. Subscribers() and Publish read the same
+// snapshot, so after a registration poll a shortfall here names a lost
+// registration instead of surfacing later as a delivery timeout.
+func publishReaching(t *testing.T, pub *jecho.Publisher, ev mir.Value, want int) {
+	t.Helper()
+	n, err := pub.Publish(ev)
+	if err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	if n != want {
+		t.Fatalf("publish reached %d subscriptions, want %d (publisher now reports %d)", n, want, pub.Subscribers())
+	}
+}
+
 func waitCount(t *testing.T, r *results, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -105,13 +120,7 @@ func TestEndToEndDelivery(t *testing.T) {
 
 	const frames = 10
 	for i := 0; i < frames; i++ {
-		n, err := pub.Publish(imaging.NewFrame(80, 80, int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 1 {
-			t.Fatalf("reached %d subscribers", n)
-		}
+		publishReaching(t, pub, imaging.NewFrame(80, 80, int64(i)), 1)
 	}
 	waitCount(t, res, frames)
 	if len(disp.Frames) != frames {
@@ -132,9 +141,7 @@ func TestAdaptationOverTCP(t *testing.T) {
 
 	publish := func(size, n int, from int) {
 		for i := 0; i < n; i++ {
-			if _, err := pub.Publish(imaging.NewFrame(size, size, int64(from+i))); err != nil {
-				t.Fatal(err)
-			}
+			publishReaching(t, pub, imaging.NewFrame(size, size, int64(from+i)), 1)
 			// Small pacing gap lets plans propagate like a real stream.
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -180,23 +187,17 @@ func TestNonImageEventsFiltered(t *testing.T) {
 
 	// Converge onto a modulated plan first.
 	for i := 0; i < 10; i++ {
-		if _, err := pub.Publish(imaging.NewFrame(80, 80, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		publishReaching(t, pub, imaging.NewFrame(80, 80, int64(i)), 1)
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitCount(t, res, 10)
 	before := res.count()
 	suppressed0 := pub.Subscriptions()[0].Metrics.Suppressed
 	for i := 0; i < 5; i++ {
-		if _, err := pub.Publish(mir.Str("junk")); err != nil {
-			t.Fatal(err)
-		}
+		publishReaching(t, pub, mir.Str("junk"), 1) // filtered at the sender still counts
 	}
 	// One more image flushes the stream so we can wait deterministically.
-	if _, err := pub.Publish(imaging.NewFrame(80, 80, 99)); err != nil {
-		t.Fatal(err)
-	}
+	publishReaching(t, pub, imaging.NewFrame(80, 80, 99), 1)
 	// Every message the sender did not filter yields a result (under a raw
 	// plan the junk ships and the receiver filters it), so wait for exactly
 	// that many: the last one is the image's.

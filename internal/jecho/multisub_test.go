@@ -70,13 +70,7 @@ func TestTwoSubscribersIndependentPlans(t *testing.T) {
 
 	const frames = 40
 	for i := 0; i < frames; i++ {
-		n, err := pub.Publish(imaging.NewFrame(128, 128, int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 2 {
-			t.Fatalf("reached %d subscribers, want 2", n)
-		}
+		publishReaching(t, pub, imaging.NewFrame(128, 128, int64(i)), 2)
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitCount(t, small.splits, frames)

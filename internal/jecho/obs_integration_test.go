@@ -70,9 +70,7 @@ func TestMetricsExposition(t *testing.T) {
 	tr := obsv.NewTracer(1024)
 	pub, sub, res := startTracedPair(t, tr)
 	for i := 0; i < 12; i++ {
-		if _, err := pub.Publish(imaging.NewFrame(64, 64, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		publishReaching(t, pub, imaging.NewFrame(64, 64, int64(i)), 1)
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitCount(t, res, 12)
@@ -151,9 +149,7 @@ func TestDebugSplitSchema(t *testing.T) {
 	tr := obsv.NewTracer(1024)
 	pub, sub, res := startTracedPair(t, tr)
 	for i := 0; i < 12; i++ {
-		if _, err := pub.Publish(imaging.NewFrame(64, 64, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		publishReaching(t, pub, imaging.NewFrame(64, 64, int64(i)), 1)
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitCount(t, res, 12)

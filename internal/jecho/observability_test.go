@@ -14,9 +14,7 @@ import (
 func TestObservability(t *testing.T) {
 	pub, sub, _, res := startPair(t)
 	for i := 0; i < 12; i++ {
-		if _, err := pub.Publish(imaging.NewFrame(64, 64, int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		publishReaching(t, pub, imaging.NewFrame(64, 64, int64(i)), 1)
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitCount(t, res, 12)

@@ -565,15 +565,14 @@ func linkStatus(link *linkest.Estimator) *obsv.LinkStatus {
 // Collect implements obsv.Collector over the publisher's live
 // subscriptions: every ChannelMetrics counter plus the per-PSE histograms,
 // labelled {role="publisher", channel, sub}, the fan-out sharing gauges
-// and counters (class count, modulator runs, modulations saved) and the
-// per-shard registry lock-contention counters.
+// and counters (class count, modulator runs, modulations saved), all read
+// from the one snapshot Publish reads.
 func (p *Publisher) Collect(emit func(obsv.Sample)) {
-	subs := p.reg.snapshot()
 	classes := p.classes.snapshot()
 	emit(obsv.Sample{
 		Name: "methodpart_publisher_subscriptions", Type: obsv.GaugeType,
 		Help:  "Live subscriptions on this publisher.",
-		Value: float64(len(subs)),
+		Value: float64(memberCount(classes)),
 	})
 	emit(obsv.Sample{
 		Name: "methodpart_plan_classes", Type: obsv.GaugeType,
@@ -590,27 +589,12 @@ func (p *Publisher) Collect(emit func(obsv.Sample)) {
 		Help:  "Per-subscriber modulator runs avoided by plan-equivalence class sharing.",
 		Value: float64(p.modulationsSaved.Load()),
 	})
-	for i := range p.reg.shards {
-		sh := &p.reg.shards[i]
-		labels := []obsv.Label{{Name: "shard", Value: strconv.Itoa(i)}}
-		emit(obsv.Sample{
-			Name: "methodpart_registry_shard_lock_acquisitions_total", Type: obsv.CounterType,
-			Help:   "Write-lock acquisitions on this subscriber-registry shard.",
-			Labels: labels, Value: float64(sh.acquires.Load()),
-		})
-		emit(obsv.Sample{
-			Name: "methodpart_registry_shard_lock_contended_total", Type: obsv.CounterType,
-			Help:   "Write-lock acquisitions that found this shard's lock held.",
-			Labels: labels, Value: float64(sh.contended.Load()),
-		})
-	}
-	for _, s := range subs {
-		c := s.class.Load()
-		if c == nil {
-			continue
-		}
-		emitChannelSamples(emit, "publisher", s.channel, s.id, s.metrics.snapshot(), c.hists, s.pipe.batch.hists)
-		if s.rel != nil {
+	for _, v := range classes {
+		for _, s := range v.members {
+			emitChannelSamples(emit, "publisher", s.channel, s.id, s.metrics.snapshot(), v.class.hists, s.pipe.batch.hists)
+			if s.rel == nil {
+				continue
+			}
 			if occ := s.rel.occupancy.Snapshot(); occ.Count > 0 {
 				emit(obsv.Sample{
 					Name: "methodpart_replay_ring_bytes", Type: obsv.HistogramType,
@@ -633,31 +617,29 @@ func (p *Publisher) Collect(emit func(obsv.Sample)) {
 // class-sharing figures. Plan selection and link estimation run only at the
 // subscriber, so LastMinCut and Link stay nil here.
 func (p *Publisher) Status() obsv.EndpointStatus {
-	subs := p.reg.snapshot()
+	classes := p.classes.snapshot()
 	ep := obsv.EndpointStatus{
 		Role:             "publisher",
 		Name:             p.Addr(),
-		PlanClasses:      p.PlanClasses(),
+		PlanClasses:      len(classes),
 		ModulationsSaved: p.ModulationsSaved(),
 	}
-	for _, s := range subs {
-		c := s.class.Load()
-		if c == nil {
-			continue
-		}
+	for _, v := range classes {
+		c := v.class
 		plan := c.mod.Plan()
-		cs := obsv.ChannelStatus{
-			ID:          s.id,
-			Channel:     s.channel,
-			Handler:     s.compiled.Prog.Name,
-			PlanVersion: s.planVersion.Load(),
-			Split:       append([]int32(nil), plan.SplitIDs()...),
-			QueueLen:    len(s.pipe.queue),
-			Metrics:     counterMap(s.metrics.snapshot()),
-			PSEs:        pseStatusTable(s.compiled, plan, c.coll.Snapshot()),
-			Breakers:    s.breaker.statusBreakers(),
+		for _, s := range v.members {
+			ep.Channels = append(ep.Channels, obsv.ChannelStatus{
+				ID:          s.id,
+				Channel:     s.channel,
+				Handler:     s.compiled.Prog.Name,
+				PlanVersion: s.planVersion.Load(),
+				Split:       append([]int32(nil), plan.SplitIDs()...),
+				QueueLen:    len(s.pipe.queue),
+				Metrics:     counterMap(s.metrics.snapshot()),
+				PSEs:        pseStatusTable(s.compiled, plan, c.coll.Snapshot()),
+				Breakers:    s.breaker.statusBreakers(),
+			})
 		}
-		ep.Channels = append(ep.Channels, cs)
 	}
 	sortChannels(ep.Channels)
 	return ep

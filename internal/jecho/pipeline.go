@@ -231,17 +231,19 @@ func (p *sendPipeline) enqueue(q queuedFrame) error {
 	// this frame. Every queued frame is doomed once stop is closed, so
 	// popping any one frame and counting it dropped keeps the identity
 	// enqueued = sent + dropped exact: each post-drain committer removes
-	// one frame, and a pop only finds the queue empty when some other
-	// committer's pop already took the frame this one added.
+	// one frame. A pop that finds the queue empty means this frame already
+	// left it, written by the sender or counted dropped by the drain or by
+	// another committer's pop, so only a pop that removed a frame reports
+	// the retirement.
 	select {
 	case <-p.stop:
 		select {
 		case old := <-p.queue:
 			p.metrics.dropped.Add(1)
 			old.f.Release()
+			return errRetired
 		default:
 		}
-		return errRetired
 	default:
 	}
 	return nil

@@ -303,3 +303,59 @@ func TestBatchBytesBudget(t *testing.T) {
 	}
 	checkAccounting(t, m)
 }
+
+// lastWordConn is a stubConn whose write of one chosen payload retires the
+// pipeline as it returns: the peer's connection is torn down right after
+// the frame reached the wire.
+type lastWordConn struct {
+	*stubConn
+	last byte
+	pipe *sendPipeline
+}
+
+func (c *lastWordConn) WriteFrame(payload []byte) error {
+	err := c.stubConn.WriteFrame(payload)
+	if len(payload) == 1 && payload[0] == c.last {
+		c.pipe.shutdown()
+	}
+	return err
+}
+
+// TestDeliveredFrameNotReportedRetired is the best-effort counterpart of
+// TestSwallowedSeqEventResumes: instead of a link that loses a frame, a
+// link that delivers one and then dies. An enqueue parked on a full Block
+// queue commits its frame when the sender takes the one ahead of it; the
+// sender writes both and the pipeline retires before the enqueuer runs its
+// post-commit stop check. That frame was delivered, so enqueue must report
+// success, and the identity Enqueued == EventsSent + Dropped must hold.
+// Whether a round parks the enqueuer before the sender starts is up to the
+// scheduler, so the scenario repeats; no round may misreport.
+func TestDeliveredFrameNotReportedRetired(t *testing.T) {
+	const first, last = 1, 2
+	for round := 0; round < 200; round++ {
+		m := &channelMetrics{}
+		conn := &lastWordConn{stubConn: newStubConn(false), last: last}
+		p := newSendPipeline(conn, 1, Block, supervision{}, batchConfig{}, m, nil)
+		conn.pipe = p
+		if err := p.enqueue(queuedFrame{f: wire.NewFrame([]byte{first})}); err != nil {
+			t.Fatal(err)
+		}
+		go p.run()
+		errc := make(chan error, 1)
+		go func() { errc <- p.enqueue(queuedFrame{f: wire.NewFrame([]byte{last})}) }()
+		err := <-errc
+		<-p.done
+
+		delivered := false
+		for _, f := range conn.written() {
+			delivered = delivered || (len(f) == 1 && f[0] == last)
+		}
+		if delivered && err != nil {
+			t.Fatalf("round %d: the frame reached the wire, yet enqueue returned %v", round, err)
+		}
+		if !delivered && !errors.Is(err, errRetired) {
+			t.Fatalf("round %d: the frame never reached the wire, yet enqueue returned %v", round, err)
+		}
+		checkAccounting(t, m)
+	}
+}

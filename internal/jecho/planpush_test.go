@@ -233,7 +233,7 @@ func TestDegradeForcesRepushOfUnchangedCut(t *testing.T) {
 
 	// Trip the raw PSE — outside the settled cut, so the subscriber's
 	// re-push is admissible — and degrade.
-	s := h.pub.reg.snapshot()[0]
+	s := soleSubscription(t, h.pub)
 	if partition.EqualCut(split0, []int32{partition.RawPSEID}) {
 		t.Fatalf("settled cut %v is raw; the test needs a split cut", split0)
 	}
@@ -283,7 +283,7 @@ func TestPlanAfterRetirementIsNotStale(t *testing.T) {
 	defer pub.Close()
 	dialLite(t, mem, pub.Addr(), "leaving")
 	waitFor(t, "registration", func() bool { return pub.Subscribers() == 1 && pub.PlanClasses() == 1 })
-	s := pub.reg.snapshot()[0]
+	s := soleSubscription(t, pub)
 	pub.retire(s)
 
 	err = pub.applyWirePlan(s, &wire.Plan{Handler: imaging.HandlerName, Version: 5, Split: []int32{1, 3}})

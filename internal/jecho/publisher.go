@@ -107,16 +107,11 @@ type Publisher struct {
 	sup      supervision
 	listener transport.Listener
 
-	// reg is the sharded id → subscription registry; classes the
-	// plan-equivalence class index. Both are read via copy-on-write
-	// snapshots on the publish path.
-	reg     subRegistry
+	// classes is the publisher's one record of membership: the
+	// plan-equivalence class table and the snapshot every reader shares
+	// (see registry.go). classes.mu also guards nextID and closed, so a
+	// registration either sees closed or joins a class before Close sweeps.
 	classes classIndex
-
-	// stateMu guards closed and nextID plus the registration handshake
-	// (insert + initial class join run under it so Close cannot miss a
-	// subscription registered concurrently).
-	stateMu sync.Mutex
 	nextID  int
 	closed  bool
 	wg      sync.WaitGroup
@@ -220,7 +215,6 @@ func NewPublisher(cfg PublisherConfig) (*Publisher, error) {
 		listener: ln,
 		programs: make(map[string]*compiledEntry),
 	}
-	p.reg.init()
 	p.classes.init()
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -232,24 +226,27 @@ func (p *Publisher) Addr() string { return p.listener.Addr() }
 
 // Close stops the publisher and drops all subscriptions.
 func (p *Publisher) Close() error {
-	p.stateMu.Lock()
+	p.classes.mu.Lock()
 	if p.closed {
-		p.stateMu.Unlock()
+		p.classes.mu.Unlock()
 		return nil
 	}
 	p.closed = true
-	p.stateMu.Unlock()
+	p.classes.mu.Unlock()
 	err := p.listener.Close()
-	for _, s := range p.reg.snapshot() {
-		p.retire(s)
+	for _, v := range p.classes.snapshot() {
+		for _, s := range v.members {
+			p.retire(s)
+		}
 	}
 	p.wg.Wait()
 	p.closeRelStates()
 	return err
 }
 
-// Subscribers returns the current subscriber count.
-func (p *Publisher) Subscribers() int { return p.reg.size() }
+// Subscribers returns the current subscriber count: the members of the
+// snapshot the next Publish reads.
+func (p *Publisher) Subscribers() int { return memberCount(p.classes.snapshot()) }
 
 // PlanClasses returns the number of live plan-equivalence classes.
 func (p *Publisher) PlanClasses() int { return len(p.classes.snapshot()) }
@@ -300,31 +297,27 @@ type SubscriptionInfo struct {
 
 // Subscriptions snapshots the live subscriptions, ordered by id.
 func (p *Publisher) Subscriptions() []SubscriptionInfo {
-	subs := p.reg.snapshot()
-	out := make([]SubscriptionInfo, 0, len(subs))
-	for _, s := range subs {
-		c := s.class.Load()
-		if c == nil {
-			continue // retired between snapshot and here
+	views := p.classes.snapshot()
+	out := make([]SubscriptionInfo, 0, len(views))
+	for _, v := range views {
+		split := v.class.mod.Plan().SplitIDs()
+		for _, s := range v.members {
+			info := SubscriptionInfo{
+				ID:          s.id,
+				Channel:     s.channel,
+				Handler:     s.compiled.Prog.Name,
+				PlanVersion: s.planVersion.Load(),
+				SplitIDs:    append([]int32(nil), split...),
+				QueueLen:    len(s.pipe.queue),
+				Metrics:     s.metrics.snapshot(),
+			}
+			info.FeedbackInFlight, info.FeedbackPending = s.pipe.feedbackCut(&info.Metrics)
+			if s.rel != nil {
+				info.Reliable = true
+				info.StagedSeq, info.RingFrames, info.RingBytes, _ = s.rel.stats()
+			}
+			out = append(out, info)
 		}
-		plan := c.mod.Plan()
-		split := make([]int32, len(plan.SplitIDs()))
-		copy(split, plan.SplitIDs())
-		info := SubscriptionInfo{
-			ID:          s.id,
-			Channel:     s.channel,
-			Handler:     s.compiled.Prog.Name,
-			PlanVersion: s.planVersion.Load(),
-			SplitIDs:    split,
-			QueueLen:    len(s.pipe.queue),
-			Metrics:     s.metrics.snapshot(),
-		}
-		info.FeedbackInFlight, info.FeedbackPending = s.pipe.feedbackCut(&info.Metrics)
-		if s.rel != nil {
-			info.Reliable = true
-			info.StagedSeq, info.RingFrames, info.RingBytes, _ = s.rel.stats()
-		}
-		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -512,7 +505,6 @@ func (p *Publisher) refusePlan(s *subscription, version uint64) {
 func (p *Publisher) retire(s *subscription) {
 	s.retireOnce.Do(func() {
 		s.retiring.Store(true)
-		p.reg.remove(s.id)
 		x := &p.classes
 		x.mu.Lock()
 		if c := s.class.Load(); c != nil {
@@ -530,6 +522,23 @@ func (p *Publisher) retire(s *subscription) {
 		// mid-stream instead of starting over.
 		p.detachRelState(s.rel)
 	})
+}
+
+// register assigns s its id and joins it to the class of plan in one
+// critical section against Close: a closing publisher either refuses the
+// subscription here (false) or finds it in the snapshot its sweep retires.
+func (p *Publisher) register(s *subscription, name string, plan *partition.Plan) bool {
+	x := &p.classes
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	p.nextID++
+	s.id = fmt.Sprintf("%s#%d", name, p.nextID)
+	p.joinClassLocked(s, plan, nil)
+	x.rebuildLocked()
+	return true
 }
 
 // handleConn performs the subscription handshake, starts the send pipeline,
@@ -645,29 +654,19 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		sub.pipe.lostFn = func(from, to uint64) { p.countLost(sub, from, to) }
 	}
 
-	// Registration: id assignment, registry insert and the initial class
-	// join are one critical section against Close, so a closing publisher
-	// either rejects the subscription here or retires it on its sweep.
-	p.stateMu.Lock()
-	if p.closed {
-		p.stateMu.Unlock()
-		p.detachRelState(sub.rel)
-		_ = conn.Close()
-		return
-	}
-	p.nextID++
-	sub.id = fmt.Sprintf("%s#%d", subMsg.Subscriber, p.nextID)
-	p.reg.insert(sub)
 	if sub.rel != nil {
 		// Hold the stream from the class join until the resume replay is
 		// queued, so no new publish can stage ahead of the replay.
 		sub.rel.enqMu.Lock()
 	}
-	p.classes.mu.Lock()
-	p.joinClassLocked(sub, initialPlan, nil)
-	p.classes.rebuildLocked()
-	p.classes.mu.Unlock()
-	p.stateMu.Unlock()
+	if !p.register(sub, subMsg.Subscriber, initialPlan) {
+		if sub.rel != nil {
+			sub.rel.enqMu.Unlock()
+		}
+		p.detachRelState(sub.rel)
+		_ = conn.Close()
+		return
+	}
 
 	if p.cfg.Tracer != nil {
 		sub.breaker.observeTransitions(breakerObserver(p.cfg.Tracer, sub.channel, func() string { return sub.id }))
@@ -802,24 +801,10 @@ func (p *Publisher) echoHeartbeat(s *subscription, seq uint64) {
 	}
 }
 
-// applyWirePlan validates a subscriber-pushed plan and migrates the
-// subscription to the plan's equivalence class — the class-world analogue
-// of Modulator.ApplyWirePlan, with the same validation and staleness
-// semantics.
+// applyWirePlan validates a subscriber-pushed plan (Compiled.WirePlan) and
+// migrates the subscription to the plan's equivalence class.
 func (p *Publisher) applyWirePlan(s *subscription, wp *wire.Plan) error {
-	if wp.Handler != s.compiled.Prog.Name {
-		return fmt.Errorf("partition: plan for %q applied to %q", wp.Handler, s.compiled.Prog.Name)
-	}
-	if wp.Version == 0 {
-		// Version 0 is reserved for locally-installed initial plans;
-		// accepting one from the wire would roll the class back past its
-		// active plan (see Modulator.ApplyWirePlan).
-		return fmt.Errorf("partition: %w: wire plan version 0 never advances past the active plan", partition.ErrStalePlan)
-	}
-	if err := s.compiled.ValidateSplitSet(wp.Split); err != nil {
-		return err
-	}
-	plan, err := partition.NewPlan(s.compiled.NumPSEs(), wp.Version, wp.Split, wp.Profile)
+	plan, err := s.compiled.WirePlan(wp)
 	if err != nil {
 		return err
 	}

@@ -8,114 +8,19 @@ import (
 	"methodpart/internal/profileunit"
 )
 
-// This file holds the publisher's two subscription indexes:
+// This file holds the publisher's one record of membership, the
+// plan-equivalence class index. Subscribers whose class key (channel,
+// compiled program, plan fingerprint) is identical share one modulator, one
+// profiling collector and one marshalled frame per event, so publish work is
+// O(classes) instead of O(subscribers).
 //
-//   - subRegistry: id → subscription, sharded so handshake/retire churn on
-//     one shard never serializes against the others (the seed's single
-//     map+mutex was the registry-side scaling wall of ROADMAP item 1);
-//   - classIndex: plan-equivalence classes. Subscribers whose class key
-//     (channel, compiled program, plan fingerprint) is identical share one
-//     modulator, one profiling collector and one marshalled frame per
-//     event, so publish work is O(classes) instead of O(subscribers).
-//
-// Membership mutations (join/leave/migrate) all run under classIndex.mu and
-// publish reads copy-on-write snapshots, so a plan flip — including a
-// breaker-forced degrade — moves a subscription between classes atomically:
-// every publish that starts after the flip sees the subscription in exactly
-// one class, the one with the new plan.
-
-// regShardCount is the subscriber-registry shard count. Shards are cheap
-// (a map and a mutex); 16 keeps p(collision) low for the tail of realistic
-// concurrent handshake/retire rates without making iteration noticeable.
-const regShardCount = 16
-
-// regShard is one slice of the subscriber registry.
-type regShard struct {
-	mu   sync.Mutex
-	subs map[string]*subscription
-
-	// acquires/contended instrument the shard lock: contended counts
-	// acquisitions that found the lock held (TryLock failed) and had to
-	// wait. Exposed as methodpart_registry_shard_* samples.
-	acquires  atomic.Uint64
-	contended atomic.Uint64
-}
-
-// lock takes the shard mutex, counting contention.
-func (s *regShard) lock() {
-	s.acquires.Add(1)
-	if !s.mu.TryLock() {
-		s.contended.Add(1)
-		s.mu.Lock()
-	}
-}
-
-// subRegistry is the sharded id → subscription map.
-type subRegistry struct {
-	shards [regShardCount]regShard
-	count  atomic.Int64
-}
-
-func (r *subRegistry) init() {
-	for i := range r.shards {
-		r.shards[i].subs = make(map[string]*subscription)
-	}
-}
-
-// shardFor hashes a subscription id onto its shard (FNV-1a).
-func (r *subRegistry) shardFor(id string) *regShard {
-	h := uint64(fnvOffset64reg)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= fnvPrime64reg
-	}
-	return &r.shards[h%regShardCount]
-}
-
-const (
-	fnvOffset64reg = 14695981039346656037
-	fnvPrime64reg  = 1099511628211
-)
-
-func (r *subRegistry) insert(s *subscription) {
-	sh := r.shardFor(s.id)
-	sh.lock()
-	sh.subs[s.id] = s
-	sh.mu.Unlock()
-	r.count.Add(1)
-}
-
-// remove deletes the id and reports whether it was present.
-func (r *subRegistry) remove(id string) bool {
-	sh := r.shardFor(id)
-	sh.lock()
-	_, ok := sh.subs[id]
-	if ok {
-		delete(sh.subs, id)
-	}
-	sh.mu.Unlock()
-	if ok {
-		r.count.Add(-1)
-	}
-	return ok
-}
-
-// size returns the live subscription count.
-func (r *subRegistry) size() int { return int(r.count.Load()) }
-
-// snapshot copies the live subscriptions out of all shards.
-func (r *subRegistry) snapshot() []*subscription {
-	out := make([]*subscription, 0, r.size())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.lock()
-		for _, s := range sh.subs {
-			out = append(out, s)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
+// Every control transition (registration, plan install and refusal,
+// degrade, retire) runs under classIndex.mu and ends by rebuilding one
+// copy-on-write snapshot of (class, members) rows. Publish, Subscribers,
+// Subscriptions, Collect, Status and Close all read that snapshot, so a
+// plan flip, including a breaker-forced degrade, moves a subscription
+// between classes atomically, and when Subscribers reports N the next
+// publish reaches exactly those N.
 
 // classKey identifies a plan-equivalence class: everything that decides
 // what bytes a subscription receives for a given event. prog is the dense
@@ -169,6 +74,7 @@ type classView struct {
 }
 
 // classIndex is the class table plus its copy-on-write publish snapshot.
+// mu is the publisher's control lock (see the file comment).
 type classIndex struct {
 	mu      sync.Mutex
 	classes map[classKey]*planClass
@@ -185,6 +91,15 @@ func (x *classIndex) init() {
 // member lists inside it are immutable.
 func (x *classIndex) snapshot() []classView {
 	return *x.snap.Load()
+}
+
+// memberCount counts the subscriptions in a snapshot.
+func memberCount(views []classView) int {
+	n := 0
+	for _, v := range views {
+		n += len(v.members)
+	}
+	return n
 }
 
 // rebuildLocked refreshes the publish snapshot. Caller holds x.mu; every

@@ -225,6 +225,28 @@ func (c *Compiled) PSE(id int32) (*PSE, bool) {
 // NumPSEs returns the PSE count including the raw PSE.
 func (c *Compiled) NumPSEs() int { return len(c.PSEs) }
 
+// WirePlan validates a plan received as a wire message and builds it: the
+// plan must name this handler, carry a version past 0 and flag a valid
+// split set. Every endpoint installing a pushed plan goes through here.
+//
+// Version 0 is the pre-negotiation version of the initial raw plan, which
+// local owners install unconditionally. A version-0 plan arriving over the
+// wire is therefore rejected as stale (ErrStalePlan, wrapped): accepting it
+// would let a replayed (or forged) initial plan roll the endpoint back past
+// its active plan.
+func (c *Compiled) WirePlan(wp *wire.Plan) (*Plan, error) {
+	if wp.Handler != c.Prog.Name {
+		return nil, fmt.Errorf("partition: plan for %q applied to %q", wp.Handler, c.Prog.Name)
+	}
+	if wp.Version == 0 {
+		return nil, fmt.Errorf("partition: %w: wire plan version 0 never advances past the active plan", ErrStalePlan)
+	}
+	if err := c.ValidateSplitSet(wp.Split); err != nil {
+		return nil, err
+	}
+	return NewPlan(c.NumPSEs(), wp.Version, wp.Split, wp.Profile)
+}
+
 // ValidateSplitSet checks that the given split ids form a valid partition:
 // every path from the start node to a StopNode crosses a flagged edge (or
 // the raw PSE is flagged, which always cuts everything).

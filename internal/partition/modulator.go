@@ -131,27 +131,12 @@ func (m *Modulator) ReplacePlan(p *Plan) { m.plan.Store(p) }
 // errors.Is.
 var ErrStalePlan = errors.New("stale plan version")
 
-// ApplyWirePlan validates and installs a plan received as a wire message.
-// A plan whose version the modulator has already passed returns
-// ErrStalePlan (wrapped), so the rejection is visible to the caller instead
-// of silently delaying plan convergence.
-//
-// Version 0 is the pre-negotiation version of the initial raw plan;
-// SetPlan installs version-0 plans unconditionally so local callers can
-// force one. A version-0 plan arriving over the wire is therefore rejected
-// as stale: accepting it would let a replayed (or forged) initial plan
-// roll the endpoint back past its active plan.
+// ApplyWirePlan validates and installs a plan received as a wire message
+// (see Compiled.WirePlan). A plan whose version the modulator has already
+// passed returns ErrStalePlan (wrapped), so the rejection is visible to the
+// caller instead of silently delaying plan convergence.
 func (m *Modulator) ApplyWirePlan(wp *wire.Plan) error {
-	if wp.Handler != m.c.Prog.Name {
-		return fmt.Errorf("partition: plan for %q applied to %q", wp.Handler, m.c.Prog.Name)
-	}
-	if wp.Version == 0 {
-		return fmt.Errorf("partition: %w: wire plan version 0 never advances past the active plan", ErrStalePlan)
-	}
-	if err := m.c.ValidateSplitSet(wp.Split); err != nil {
-		return err
-	}
-	p, err := NewPlan(m.c.NumPSEs(), wp.Version, wp.Split, wp.Profile)
+	p, err := m.c.WirePlan(wp)
 	if err != nil {
 		return err
 	}
