@@ -67,7 +67,7 @@ func bareSubscription(entry *compiledEntry, feedbackEvery uint64) *subscription 
 		metrics:  &channelMetrics{},
 		breaker:  resolveBreaker(0, 0, 0),
 	}
-	s.pipe = newSendPipeline(s.conn, 4, DropNewest, supervision{}, batchConfig{}, s.metrics, nil)
+	s.pipe = newTestPipeline(s.conn, 4, DropNewest, batchConfig{}, s.metrics)
 	return s
 }
 

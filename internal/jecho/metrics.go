@@ -15,12 +15,15 @@ type ChannelMetrics struct {
 	// Suppressed counts events the modulator filtered at the sender
 	// (trivial-continuation suppression), so nothing crossed the wire.
 	Suppressed uint64
-	// Enqueued counts frames accepted into the outbound send queue.
+	// Enqueued counts frames that entered the subscription's send queue:
+	// appended to its log, or queued for replay when the session resumed.
 	Enqueued uint64
-	// Dropped counts enqueued frames that never reached the peer: evicted
-	// by the overflow policy, abandoned in the queue at shutdown, or lost
-	// to a failed transport write. Together with EventsSent this closes
-	// the accounting identity Enqueued = EventsSent + Dropped once the
+	// Dropped counts frames this session never sent: refused by
+	// DropNewest (those were never enqueued), skipped by DropOldest, still
+	// queued when the session retired (a reliable log keeps them for the
+	// next session's replay), or lost to a failed transport write.
+	// Together with EventsSent this closes the accounting identity
+	// Enqueued = EventsSent + Dropped, less DropNewest refusals, once the
 	// pipeline is quiescent.
 	Dropped uint64
 	// QueueHighWater is the maximum outbound queue depth observed.
@@ -99,11 +102,12 @@ type ChannelMetrics struct {
 	// AcksReceived counts cumulative delivery acks from the peer
 	// (publisher side).
 	AcksReceived uint64
-	// Replayed counts event frames re-enqueued from the replay ring when
-	// a subscriber resumed after a reconnect (publisher side).
+	// Replayed counts the replay frames a resumed session wrote: retained,
+	// unacked frames re-sent after a reconnect (publisher side). A replay
+	// entry DropOldest skips counts as DataLoss instead.
 	Replayed uint64
-	// RingEvictions counts unacked frames the replay ring evicted to stay
-	// inside its byte budget. An evicted frame was already sent, so it
+	// RingEvictions counts sent, unacked frames the log released to stay
+	// inside ReplayRingBytes. An evicted frame was already sent, so it
 	// costs nothing unless the link is cut before the subscriber acks it;
 	// the resume then declares it lost.
 	RingEvictions uint64
@@ -118,9 +122,9 @@ type ChannelMetrics struct {
 	// never silent.
 	DataLoss uint64
 	// AcksClamped counts inbound cumulative acks claiming a seq beyond
-	// anything ever staged (publisher side). Each is a corrupt or
-	// misbehaving peer: the ack is clamped so it cannot release unsent
-	// ring entries, and counted here so the anomaly is visible.
+	// anything sent (publisher side). Each is a corrupt or misbehaving
+	// peer: the ack is clamped so it cannot release unsent log entries,
+	// and counted here so the anomaly is visible.
 	AcksClamped uint64
 	// StreamResets counts at-least-once stream restarts the subscriber
 	// observed via a changed StreamStart epoch (publisher restart, orphan

@@ -192,8 +192,8 @@ func tracePlanFlip(tr *obsv.Tracer, channel, sub string, version uint64, split [
 	})
 }
 
-// traceReplay emits the EvReplay for a range of sequenced events re-sent
-// from the replay ring.
+// traceReplay emits the EvReplay for a retained range of sequenced events a
+// resumed session queued for re-sending.
 func traceReplay(tr *obsv.Tracer, channel, sub string, from, to uint64) {
 	if !tr.Enabled() {
 		return
@@ -267,8 +267,8 @@ var channelCounterDefs = []struct {
 }{
 	{"methodpart_channel_published_total", "Events modulated (publisher) or demodulated to completion (subscriber).", func(m ChannelMetrics) uint64 { return m.Published }},
 	{"methodpart_channel_suppressed_total", "Events filtered at the sender by trivial-continuation suppression.", func(m ChannelMetrics) uint64 { return m.Suppressed }},
-	{"methodpart_channel_enqueued_total", "Frames accepted into the outbound send queue.", func(m ChannelMetrics) uint64 { return m.Enqueued }},
-	{"methodpart_channel_dropped_total", "Frames discarded by the overflow policy.", func(m ChannelMetrics) uint64 { return m.Dropped }},
+	{"methodpart_channel_enqueued_total", "Frames that entered the send queue: appended to the log, or queued for replay on resume.", func(m ChannelMetrics) uint64 { return m.Enqueued }},
+	{"methodpart_channel_dropped_total", "Frames this session never sent: refused or skipped by the overflow policy, queued at retire, or lost to a failed write.", func(m ChannelMetrics) uint64 { return m.Dropped }},
 	{"methodpart_channel_bytes_on_wire_total", "Event-frame bytes sent (publisher) or received (subscriber), including framing.", func(m ChannelMetrics) uint64 { return m.BytesOnWire }},
 	{"methodpart_channel_control_bytes_on_wire_total", "Control-frame bytes (heartbeats, feedback, plans, NACKs), including framing.", func(m ChannelMetrics) uint64 { return m.ControlBytesOnWire }},
 	{"methodpart_channel_bytes_saved_total", "Bytes modulation kept off the wire (suppression and continuations).", func(m ChannelMetrics) uint64 { return m.BytesSaved }},
@@ -292,8 +292,8 @@ var channelCounterDefs = []struct {
 	{"methodpart_channel_breaker_trips_total", "Circuit-breaker transitions to open.", func(m ChannelMetrics) uint64 { return m.BreakerTrips }},
 	{"methodpart_channel_acks_sent_total", "Cumulative delivery acks written (standalone and heartbeat-piggybacked).", func(m ChannelMetrics) uint64 { return m.AcksSent }},
 	{"methodpart_channel_acks_received_total", "Cumulative delivery acks received from the peer.", func(m ChannelMetrics) uint64 { return m.AcksReceived }},
-	{"methodpart_replayed_total", "Event frames re-sent from the replay ring on reconnect resumes.", func(m ChannelMetrics) uint64 { return m.Replayed }},
-	{"methodpart_channel_ring_evictions_total", "Sent but unacked frames evicted from the replay ring to hold its byte budget; lost only if the link is cut before the ack.", func(m ChannelMetrics) uint64 { return m.RingEvictions }},
+	{"methodpart_replayed_total", "Replay frames a resumed session wrote after a reconnect.", func(m ChannelMetrics) uint64 { return m.Replayed }},
+	{"methodpart_channel_ring_evictions_total", "Sent but unacked frames released to hold the retention budget; lost only if the link is cut before the ack.", func(m ChannelMetrics) uint64 { return m.RingEvictions }},
 	{"methodpart_channel_duplicates_dropped_total", "Sequenced events absorbed by subscriber-side dedup before the handler.", func(m ChannelMetrics) uint64 { return m.DuplicatesDropped }},
 	{"methodpart_data_loss_total", "Sequenced events a connection skipped and declared Lost in order — loud, exact, never silent.", func(m ChannelMetrics) uint64 { return m.DataLoss }},
 	{"methodpart_channel_acks_clamped_total", "Inbound acks claiming a seq beyond anything staged, clamped instead of releasing unsent entries.", func(m ChannelMetrics) uint64 { return m.AcksClamped }},
@@ -595,10 +595,10 @@ func (p *Publisher) Collect(emit func(obsv.Sample)) {
 			if s.rel == nil {
 				continue
 			}
-			if occ := s.rel.occupancy.Snapshot(); occ.Count > 0 {
+			if occ := s.rel.log.occupancy.Snapshot(); occ.Count > 0 {
 				emit(obsv.Sample{
 					Name: "methodpart_replay_ring_bytes", Type: obsv.HistogramType,
-					Help: "Replay-ring occupancy in retained payload bytes, sampled after every staged frame.",
+					Help: "Replay-ring occupancy in retained payload bytes, sampled after every send-side advance.",
 					Labels: []obsv.Label{
 						{Name: "role", Value: "publisher"},
 						{Name: "channel", Value: s.channel},
@@ -634,7 +634,7 @@ func (p *Publisher) Status() obsv.EndpointStatus {
 				Handler:     s.compiled.Prog.Name,
 				PlanVersion: s.planVersion.Load(),
 				Split:       append([]int32(nil), plan.SplitIDs()...),
-				QueueLen:    len(s.pipe.queue),
+				QueueLen:    s.pipe.log.queued(),
 				Metrics:     counterMap(s.metrics.snapshot()),
 				PSEs:        pseStatusTable(s.compiled, plan, c.coll.Snapshot()),
 				Breakers:    s.breaker.statusBreakers(),

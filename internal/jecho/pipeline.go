@@ -48,7 +48,7 @@ func (p OverflowPolicy) String() string {
 // QueueDepth zero.
 const DefaultQueueDepth = 64
 
-// errRetired reports an enqueue on (or a plan for) a subscription that has
+// errRetired reports an append to (or a plan for) a subscription that has
 // been retired: its sender shut down, peer dead or publisher closing.
 var errRetired = errors.New("jecho: subscription retired")
 
@@ -67,19 +67,14 @@ type batchConfig struct {
 	hists *batchHistograms
 }
 
-// sendPipeline is the asynchronous sender of one subscription: a bounded
-// queue of refcounted event frames plus a coalescing slot for profiling
-// feedback, drained by a dedicated goroutine (run). Publish hands frames
-// over and returns; only the sender goroutine ever touches the connection
-// for writes, so a stalled or dead peer blocks its own pipeline and
-// nothing else.
-//
-// Ownership: enqueue consumes one frame reference on every path — queued
-// frames carry their reference until the sender writes (or drops) them,
-// and frames rejected by policy, shed by eviction or refused by a retired
-// pipeline are released immediately. The publisher marshals an event once
-// per plan-equivalence class and Retains one reference per member, so the
-// same frame bytes flow through every member's pipeline without copying.
+// sendPipeline is the asynchronous sender of one subscription: it drains
+// the subscription's sendLog and a coalescing slot for profiling feedback
+// from a dedicated goroutine (run). Publish appends frames to the log and
+// returns; only the sender goroutine ever touches the connection for
+// writes, so a stalled or dead peer blocks its own pipeline and nothing
+// else. The publisher marshals an event once per plan-equivalence class and
+// Retains one reference per member, so the same frame bytes flow through
+// every member's log without copying.
 //
 // Feedback frames never queue behind events: the newest snapshot overwrites
 // any pending one (coalesce-to-latest), because a stale profiling report is
@@ -87,27 +82,29 @@ type batchConfig struct {
 // meaningful.
 type sendPipeline struct {
 	conn    transport.Conn
-	queue   chan queuedFrame
-	policy  OverflowPolicy
+	log     *sendLog
 	metrics *channelMetrics
 	sup     supervision
 	batch   batchConfig
 	// reliable wraps every outgoing event frame in a SeqEvent envelope
-	// carrying the queued delivery sequence (AtLeastOnce subscriptions
-	// only). Best-effort pipelines never touch the envelope path.
+	// carrying its log position, the delivery seq (AtLeastOnce
+	// subscriptions only). Best-effort pipelines never touch the envelope
+	// path.
 	reliable bool
 	// lastSeq is the last delivery seq this connection wrote or declared
-	// Lost (sender goroutine only once run starts): the resume point, or 0
-	// on a fresh stream. A queued frame above lastSeq+1 makes the sender
+	// Lost (set by attach, then sender goroutine only): the resume point, or
+	// 0 on a fresh stream. A run starting above lastSeq+1 makes the sender
 	// declare the seqs between Lost first, so the peer sees every seq in
-	// order. lostFn, when set, accounts for each declaration.
-	lastSeq uint64
-	lostFn  func(from, to uint64)
+	// order. lostFn, when set, accounts for each declaration. Positions
+	// below replayEnd were queued by the resume; each one written counts as
+	// Replayed.
+	lastSeq   uint64
+	replayEnd uint64
+	lostFn    func(from, to uint64)
 
 	// Sender-goroutine only: heartbeat sequence plus the reusable buffers
-	// of the batching path. The transports copy on WriteFrame, so the
-	// buffers (and batched frames' references) are free as soon as it
-	// returns.
+	// of the write path. The transports copy on WriteFrame, so the buffers
+	// (and the taken frames' references) are free as soon as it returns.
 	hbSeq uint64
 	hbBuf []byte
 	// born anchors heard, the monotonic time (since born) the publisher
@@ -116,15 +113,17 @@ type sendPipeline struct {
 	heard    atomic.Int64
 	batchBuf []byte
 	wrapBuf  []byte
-	frames   []queuedFrame
+	frames   []*wire.Frame
 	entries  [][]byte
 
+	// ready (cap 1) tells the sender the log has queued entries.
+	ready chan struct{}
 	// ctrl carries small marshalled control frames (heartbeat echo
 	// replies) that must reach the peer through the sender goroutine but
 	// are neither events nor feedback.
 	ctrl chan []byte
 
-	stop     chan struct{} // closed by shutdown: unblocks enqueuers + sender
+	stop     chan struct{} // closed by shutdown: stops the sender
 	done     chan struct{} // closed when the sender goroutine exits
 	stopOnce sync.Once
 
@@ -144,27 +143,18 @@ type sendPipeline struct {
 	failed func(error)
 }
 
-// queuedFrame is one outbound queue slot: the refcounted event frame plus,
-// on reliable pipelines, the delivery sequence its SeqEvent envelope will
-// carry. Best-effort pipelines leave seq zero and never wrap.
-type queuedFrame struct {
-	f   *wire.Frame
-	seq uint64
-}
-
-func newSendPipeline(conn transport.Conn, depth int, policy OverflowPolicy, sup supervision, batch batchConfig, m *channelMetrics, failed func(error)) *sendPipeline {
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
+// newSendPipeline builds the sender of log over conn. It takes nothing
+// until log.attach makes it the log's owner.
+func newSendPipeline(conn transport.Conn, log *sendLog, sup supervision, batch batchConfig, m *channelMetrics, failed func(error)) *sendPipeline {
 	return &sendPipeline{
 		conn:    conn,
-		queue:   make(chan queuedFrame, depth),
-		policy:  policy,
+		log:     log,
 		sup:     sup,
 		batch:   batch,
 		metrics: m,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
+		ready:   make(chan struct{}, 1),
 		fbReady: make(chan struct{}, 1),
 		ctrl:    make(chan []byte, 8),
 		failed:  failed,
@@ -175,78 +165,12 @@ func newSendPipeline(conn transport.Conn, depth int, policy OverflowPolicy, sup 
 // heardFrom records that a frame from the peer just arrived.
 func (p *sendPipeline) heardFrom() { p.heard.Store(int64(time.Since(p.born))) }
 
-// enqueue admits one event frame under the overflow policy, consuming one
-// frame reference on every path. A nil return means the frame was queued
-// or dropped by policy; errRetired means the pipeline is gone and the
-// caller should treat the subscription as dead.
-func (p *sendPipeline) enqueue(q queuedFrame) error {
+// signal wakes the sender for queued entries.
+func (p *sendPipeline) signal() {
 	select {
-	case <-p.stop:
-		q.f.Release()
-		return errRetired
+	case p.ready <- struct{}{}:
 	default:
 	}
-	switch p.policy {
-	case DropNewest:
-		select {
-		case p.queue <- q:
-		default:
-			p.metrics.dropped.Add(1)
-			q.f.Release()
-			return nil
-		}
-	case DropOldest:
-		for {
-			select {
-			case p.queue <- q:
-			case <-p.stop:
-				q.f.Release()
-				return errRetired
-			default:
-				// Queue full: evict one old frame and retry. The inner
-				// select is non-blocking because the sender may have
-				// drained the queue in the meantime.
-				select {
-				case old := <-p.queue:
-					p.metrics.dropped.Add(1)
-					old.f.Release()
-				default:
-				}
-				continue
-			}
-			break
-		}
-	default: // Block
-		select {
-		case p.queue <- q:
-		case <-p.stop:
-			q.f.Release()
-			return errRetired
-		}
-	}
-	p.metrics.enqueued.Add(1)
-	p.metrics.noteDepth(len(p.queue))
-	// If the pipeline retired between the commit above and here, the
-	// sender's shutdown drain may already have swept the queue and missed
-	// this frame. Every queued frame is doomed once stop is closed, so
-	// popping any one frame and counting it dropped keeps the identity
-	// enqueued = sent + dropped exact: each post-drain committer removes
-	// one frame. A pop that finds the queue empty means this frame already
-	// left it, written by the sender or counted dropped by the drain or by
-	// another committer's pop, so only a pop that removed a frame reports
-	// the retirement.
-	select {
-	case <-p.stop:
-		select {
-		case old := <-p.queue:
-			p.metrics.dropped.Add(1)
-			old.f.Release()
-			return errRetired
-		default:
-		}
-	default:
-	}
-	return nil
 }
 
 // enqueueControl offers a small marshalled control frame (a heartbeat
@@ -316,17 +240,17 @@ func (p *sendPipeline) feedbackCut(m *ChannelMetrics) (inFlight, pending int) {
 	return inFlight, pending
 }
 
-// run is the sender goroutine: it drains the queue and the feedback slot
+// run is the sender goroutine: it drains the log and the feedback slot
 // until shutdown or a write error, and fills idle gaps with heartbeat
 // frames so the peer's silence window never expires on a healthy but
 // quiet channel. When batching is configured (and was negotiated at
 // handshake), a backlog of queued event frames leaves as one batch frame.
 func (p *sendPipeline) run() {
 	defer close(p.done)
-	// Frames still queued when the sender exits were accepted (counted
-	// enqueued) but will never reach the wire; count them dropped so the
-	// accounting identity enqueued = sent + dropped survives shutdown.
-	defer p.drainQueue()
+	// Detach from the log on any exit, so entries still queued count as
+	// dropped and the accounting identity enqueued = sent + dropped
+	// survives a write error as well as shutdown.
+	defer p.shutdown()
 	var heartbeat <-chan time.Time
 	if p.sup.interval > 0 {
 		t := time.NewTicker(p.sup.interval)
@@ -341,8 +265,8 @@ func (p *sendPipeline) run() {
 		default:
 		}
 		select {
-		case q := <-p.queue:
-			if !p.sendEvents(q) {
+		case <-p.ready:
+			if !p.sendEvents() {
 				return
 			}
 		case data := <-p.ctrl:
@@ -366,127 +290,77 @@ func (p *sendPipeline) run() {
 	}
 }
 
-// drainQueue empties the outbound queue, counting each abandoned frame as
-// dropped and releasing its reference. Runs on the sender goroutine after
-// the send loop exits; enqueuers racing past the drain compensate in
-// enqueue's post-commit stop recheck.
-func (p *sendPipeline) drainQueue() {
-	for {
-		select {
-		case q := <-p.queue:
-			p.metrics.dropped.Add(1)
-			q.f.Release()
-		default:
-			return
-		}
+// sendEvents takes one run from the log — a single entry, or with batching
+// on as many as fit BatchBytes after a BatchDelay linger — and writes it:
+// one entry as its own frame, more as one batch frame, so a peer on a quiet
+// channel never pays the batch header. On a reliable pipeline a run that
+// starts past the last seq written is preceded by a Lost notice for the
+// seqs skipped.
+func (p *sendPipeline) sendEvents() bool {
+	if p.batch.Delay > 0 {
+		p.linger()
 	}
-}
-
-// eventBytes resolves the wire bytes of one queued frame: reliable
-// pipelines wrap the shared frame bytes in a SeqEvent envelope built in
-// the recycled wrapBuf (the envelope is per-subscription; the frame bytes
-// stay shared across the class), best-effort ships them as-is.
-func (p *sendPipeline) eventBytes(q queuedFrame) []byte {
-	if !p.reliable {
-		return q.f.Bytes()
+	first, more := p.log.take(p, p.batch.Bytes)
+	if len(p.frames) == 0 {
+		return true
 	}
-	p.wrapBuf = wire.AppendSeqEvent(p.wrapBuf[:0], q.seq, q.f.Bytes())
-	return p.wrapBuf
-}
-
-// sendEvents ships the first queued frame and, when batching is on,
-// whatever else the queue holds (plus a BatchDelay linger) up to
-// BatchBytes, as one batch wire frame. A single frame goes out unwrapped,
-// so a peer on a quiet channel never pays the batch header. On a reliable
-// pipeline a batch is cut wherever the sequence jumps, and the skipped
-// seqs are declared Lost before the frame after the jump.
-func (p *sendPipeline) sendEvents(first queuedFrame) bool {
-	p.frames = append(p.frames[:0], first)
-	if p.batch.Bytes > 0 {
-		p.collectBatch(first.f.Len())
+	if more {
+		p.signal()
 	}
-	sent := 0
 	ok := true
-	for sent < len(p.frames) && ok {
-		run := p.frames[sent:]
-		if p.reliable {
-			n := 1
-			for n < len(run) && run[n].seq == run[n-1].seq+1 {
-				n++
-			}
-			run = run[:n]
-			if gapFrom := p.lastSeq + 1; run[0].seq > gapFrom {
-				ok = p.declareSkip(gapFrom, run[0].seq-1)
-			}
-		}
-		if ok {
-			ok = p.writeRun(run)
-		}
-		if ok {
-			sent += len(run)
-		}
+	if gapFrom := p.lastSeq + 1; p.reliable && first > gapFrom {
+		ok = p.declareSkip(gapFrom, first-1)
+	}
+	ok = ok && p.writeRun(first, p.frames)
+	if !ok {
+		// The write failed with the run already taken: those frames were
+		// enqueued but will never be sent, so they are dropped.
+		p.metrics.dropped.Add(uint64(len(p.frames)))
 	}
 	// The transport copied the bytes (or the write failed); either way the
 	// references are consumed here. Clear the scratch so the pooled frames
-	// are not pinned until the next batch.
-	for i, q := range p.frames {
-		q.f.Release()
-		p.frames[i] = queuedFrame{}
-	}
-	if !ok {
-		// The write failed with the frames already dequeued: they were
-		// enqueued but will never be sent, so they are dropped.
-		p.metrics.dropped.Add(uint64(len(p.frames) - sent))
+	// are not pinned until the next run.
+	for i, f := range p.frames {
+		f.Release()
+		p.frames[i] = nil
 	}
 	p.frames = p.frames[:0]
 	return ok
 }
 
-// collectBatch appends to p.frames what the queue already holds and, with
-// a BatchDelay, what arrives within it, up to BatchBytes in all.
-func (p *sendPipeline) collectBatch(total int) {
-fill:
-	for total < p.batch.Bytes {
-		select {
-		case q := <-p.queue:
-			p.frames = append(p.frames, q)
-			total += q.f.Len()
-		default:
-			break fill
-		}
-	}
-	// Linger for stragglers: a publisher in mid-burst refills the queue
-	// within the delay window, so the batch amortizes more frames.
-	if p.batch.Delay <= 0 || total >= p.batch.Bytes {
+// linger waits up to BatchDelay for a non-empty queue to reach
+// BatchBytes, so a publisher in mid-burst fills the batch before it is
+// taken.
+func (p *sendPipeline) linger() {
+	if n := p.log.queuedBytes(p.batch.Bytes); n == 0 || n >= p.batch.Bytes {
 		return
 	}
 	timer := time.NewTimer(p.batch.Delay)
 	defer timer.Stop()
-	for total < p.batch.Bytes {
+	for {
 		select {
-		case q := <-p.queue:
-			p.frames = append(p.frames, q)
-			total += q.f.Len()
+		case <-p.ready:
+			if p.log.queuedBytes(p.batch.Bytes) >= p.batch.Bytes {
+				return
+			}
 		case <-timer.C:
 			return
 		case <-p.stop:
-			// Ship what was collected; these frames are in flight, not
-			// abandoned. The drain handles the rest of the queue.
 			return
 		}
 	}
 }
 
-// writeRun writes consecutive queued frames: one alone goes out as its own
-// frame, more as one batch frame.
-func (p *sendPipeline) writeRun(run []queuedFrame) bool {
+// writeRun writes the consecutive log entries run, the first at position
+// first: one alone goes out as its own frame, more as one batch frame.
+func (p *sendPipeline) writeRun(first uint64, run []*wire.Frame) bool {
 	total := 0
-	for _, q := range run {
-		total += q.f.Len()
+	for _, f := range run {
+		total += f.Len()
 	}
 	var data []byte
 	if len(run) == 1 {
-		data = p.eventBytes(run[0])
+		data = p.eventBytes(first, run[0])
 	} else {
 		p.entries = p.entries[:0]
 		if p.reliable {
@@ -498,14 +372,14 @@ func (p *sendPipeline) writeRun(run []queuedFrame) bool {
 				p.wrapBuf = make([]byte, 0, need)
 			}
 			p.wrapBuf = p.wrapBuf[:0]
-			for _, q := range run {
+			for i, f := range run {
 				start := len(p.wrapBuf)
-				p.wrapBuf = wire.AppendSeqEvent(p.wrapBuf, q.seq, q.f.Bytes())
+				p.wrapBuf = wire.AppendSeqEvent(p.wrapBuf, first+uint64(i), f.Bytes())
 				p.entries = append(p.entries, p.wrapBuf[start:len(p.wrapBuf):len(p.wrapBuf)])
 			}
 		} else {
-			for _, q := range run {
-				p.entries = append(p.entries, q.f.Bytes())
+			for _, f := range run {
+				p.entries = append(p.entries, f.Bytes())
 			}
 		}
 		p.batchBuf = wire.AppendBatch(p.batchBuf[:0], p.entries)
@@ -514,15 +388,30 @@ func (p *sendPipeline) writeRun(run []queuedFrame) bool {
 	if !p.write(data, false) {
 		return false
 	}
-	p.lastSeq = run[len(run)-1].seq
-	n := len(run)
-	p.metrics.eventsSent.Add(uint64(n))
+	n := uint64(len(run))
+	p.lastSeq = first + n - 1
+	if first < p.replayEnd {
+		p.metrics.replayed.Add(min(first+n, p.replayEnd) - first)
+	}
+	p.metrics.eventsSent.Add(n)
 	if n > 1 {
 		p.metrics.batchesSent.Add(1)
-		p.metrics.batchedEvents.Add(uint64(n))
+		p.metrics.batchedEvents.Add(n)
 	}
-	p.batch.hists.observe(n, total, p.batch.Bytes)
+	p.batch.hists.observe(len(run), total, p.batch.Bytes)
 	return true
+}
+
+// eventBytes resolves the wire bytes of one log entry: reliable pipelines
+// wrap the shared frame bytes in a SeqEvent envelope built in the recycled
+// wrapBuf (the envelope is per-subscription; the frame bytes stay shared
+// across the class), best-effort ships them as-is.
+func (p *sendPipeline) eventBytes(seq uint64, f *wire.Frame) []byte {
+	if !p.reliable {
+		return f.Bytes()
+	}
+	p.wrapBuf = wire.AppendSeqEvent(p.wrapBuf[:0], seq, f.Bytes())
+	return p.wrapBuf
 }
 
 // declareSkip writes the Lost notice for [from, to], the seqs this
@@ -585,9 +474,12 @@ func (p *sendPipeline) write(data []byte, control bool) bool {
 	return true
 }
 
-// shutdown stops the sender and unblocks pending enqueues. Idempotent; it
-// does not close the connection (the owner does) and does not wait for the
-// sender goroutine.
+// shutdown stops the sender and detaches it from the log, waking pending
+// Block appends. Idempotent; it does not close the connection (the owner
+// does) and does not wait for the sender goroutine.
 func (p *sendPipeline) shutdown() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.stopOnce.Do(func() {
+		close(p.stop)
+		p.log.detach(p)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"methodpart/internal/transport"
 	"methodpart/internal/wire"
 )
 
@@ -67,6 +68,14 @@ func (c *stubConn) written() [][]byte {
 	return out
 }
 
+// newTestPipeline builds a best-effort pipeline over conn on a fresh log of
+// the given depth and policy, attached and not started.
+func newTestPipeline(conn transport.Conn, depth int, policy OverflowPolicy, batch batchConfig, m *channelMetrics) *sendPipeline {
+	p := newSendPipeline(conn, newSendLog(depth, policy, -1), supervision{}, batch, m, nil)
+	p.log.attach(p, 0)
+	return p
+}
+
 // checkAccounting asserts the shutdown identity: every frame accepted into
 // the queue was either written or counted dropped once the pipeline is
 // quiescent.
@@ -82,18 +91,18 @@ func checkAccounting(t *testing.T, m *channelMetrics) {
 // TestShutdownDrainAccounting: frames still queued when the sender shuts
 // down must be counted dropped, not leak as permanently "enqueued". One
 // frame is in flight (blocked in WriteFrame) at shutdown; it completes and
-// counts as sent, the rest of the queue drains as drops.
+// counts as sent, and the detach counts the rest of the queue as drops.
 func TestShutdownDrainAccounting(t *testing.T) {
 	conn := newStubConn(true)
 	m := &channelMetrics{}
-	p := newSendPipeline(conn, 8, Block, supervision{}, batchConfig{}, m, nil)
+	p := newTestPipeline(conn, 8, Block, batchConfig{}, m)
 	go p.run()
 
-	// First frame is popped by the sender and blocks in WriteFrame; the
-	// next 8 fill the queue.
+	// The sender takes the first frame and blocks in WriteFrame; the next 8
+	// fill the queue.
 	for i := 0; i < 9; i++ {
-		if err := p.enqueue(queuedFrame{f: wire.NewFrame([]byte{byte(i)})}); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
+		if err := p.log.append(p, wire.NewFrame([]byte{byte(i)})); err != nil {
+			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 	p.shutdown()
@@ -113,12 +122,13 @@ func TestShutdownDrainAccounting(t *testing.T) {
 
 // TestDropOldestConcurrentAccounting hammers a pipeline whose writer is
 // wedged with concurrent publishers under DropOldest. Run with -race. Every
-// enqueue must return promptly (no livelock against the evict-retry loop)
-// and the drop accounting must balance exactly after shutdown.
+// append must return promptly (each one moves the cursor past the oldest
+// queued entry instead of waiting) and the drop accounting must balance
+// exactly after shutdown.
 func TestDropOldestConcurrentAccounting(t *testing.T) {
 	conn := newStubConn(true)
 	m := &channelMetrics{}
-	p := newSendPipeline(conn, 4, DropOldest, supervision{}, batchConfig{}, m, nil)
+	p := newTestPipeline(conn, 4, DropOldest, batchConfig{}, m)
 	go p.run()
 
 	const publishers = 8
@@ -129,8 +139,8 @@ func TestDropOldestConcurrentAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perPublisher; i++ {
-				if err := p.enqueue(queuedFrame{f: wire.NewFrame([]byte{1, 2, 3})}); err != nil {
-					t.Errorf("enqueue: %v", err)
+				if err := p.log.append(p, wire.NewFrame([]byte{1, 2, 3})); err != nil {
+					t.Errorf("append: %v", err)
 					return
 				}
 			}
@@ -141,7 +151,7 @@ func TestDropOldestConcurrentAccounting(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("livelock: concurrent DropOldest enqueues did not finish")
+		t.Fatal("livelock: concurrent DropOldest appends did not finish")
 	}
 
 	p.shutdown()
@@ -155,14 +165,14 @@ func TestDropOldestConcurrentAccounting(t *testing.T) {
 	checkAccounting(t, m)
 }
 
-// TestConcurrentEnqueueDuringShutdown races enqueuers against shutdown
-// itself: whichever side of the stop/commit race each frame lands on, the
-// accounting identity must hold once everything quiesces. Run with -race.
+// TestConcurrentEnqueueDuringShutdown races appenders against shutdown
+// itself: whichever side of the detach each frame lands on, the accounting
+// identity must hold once everything quiesces. Run with -race.
 func TestConcurrentEnqueueDuringShutdown(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		conn := newStubConn(false)
 		m := &channelMetrics{}
-		p := newSendPipeline(conn, 2, DropOldest, supervision{}, batchConfig{}, m, nil)
+		p := newTestPipeline(conn, 2, DropOldest, batchConfig{}, m)
 		go p.run()
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -170,7 +180,7 @@ func TestConcurrentEnqueueDuringShutdown(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if err := p.enqueue(queuedFrame{f: wire.NewFrame([]byte{9})}); err != nil {
+					if err := p.log.append(p, wire.NewFrame([]byte{9})); err != nil {
 						return // retired mid-loop: expected
 					}
 				}
@@ -188,13 +198,13 @@ func TestConcurrentEnqueueDuringShutdown(t *testing.T) {
 func TestBatchCoalescing(t *testing.T) {
 	conn := newStubConn(false)
 	m := &channelMetrics{}
-	p := newSendPipeline(conn, 16, Block, supervision{}, batchConfig{Bytes: 1 << 16}, m, nil)
+	p := newTestPipeline(conn, 16, Block, batchConfig{Bytes: 1 << 16}, m)
 
-	// Preload the queue before the sender starts so the first sendEvents
-	// sees a backlog.
+	// Preload the log before the sender starts so its first take sees a
+	// backlog.
 	want := [][]byte{{1}, {2, 2}, {3, 3, 3}, {4}, {5}}
 	for _, f := range want {
-		if err := p.enqueue(queuedFrame{f: wire.NewFrame(f)}); err != nil {
+		if err := p.log.append(p, wire.NewFrame(f)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,8 +249,8 @@ func TestBatchCoalescing(t *testing.T) {
 	// A single queued frame must go out unwrapped even with batching on.
 	conn2 := newStubConn(false)
 	m2 := &channelMetrics{}
-	p2 := newSendPipeline(conn2, 16, Block, supervision{}, batchConfig{Bytes: 1 << 16}, m2, nil)
-	if err := p2.enqueue(queuedFrame{f: wire.NewFrame([]byte{7, 7})}); err != nil {
+	p2 := newTestPipeline(conn2, 16, Block, batchConfig{Bytes: 1 << 16}, m2)
+	if err := p2.log.append(p2, wire.NewFrame([]byte{7, 7})); err != nil {
 		t.Fatal(err)
 	}
 	go p2.run()
@@ -270,9 +280,9 @@ func TestBatchBytesBudget(t *testing.T) {
 	m := &channelMetrics{}
 	// Budget of 8 bytes: three 4-byte frames = first two coalesce (4, then
 	// 8 ≥ 8 stops the fill), third goes alone.
-	p := newSendPipeline(conn, 16, Block, supervision{}, batchConfig{Bytes: 8}, m, nil)
+	p := newTestPipeline(conn, 16, Block, batchConfig{Bytes: 8}, m)
 	for i := 0; i < 3; i++ {
-		if err := p.enqueue(queuedFrame{f: wire.NewFrame([]byte{byte(i), 0, 0, 0})}); err != nil {
+		if err := p.log.append(p, wire.NewFrame([]byte{byte(i), 0, 0, 0})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,26 +333,26 @@ func (c *lastWordConn) WriteFrame(payload []byte) error {
 
 // TestDeliveredFrameNotReportedRetired is the best-effort counterpart of
 // TestSwallowedSeqEventResumes: instead of a link that loses a frame, a
-// link that delivers one and then dies. An enqueue parked on a full Block
-// queue commits its frame when the sender takes the one ahead of it; the
-// sender writes both and the pipeline retires before the enqueuer runs its
-// post-commit stop check. That frame was delivered, so enqueue must report
+// link that delivers one and then dies. An append parked on a full Block
+// queue gets its position when the sender takes the entry ahead of it; the
+// sender writes both and the pipeline retires, possibly before the
+// appender returns. That frame was delivered, so append must report
 // success, and the identity Enqueued == EventsSent + Dropped must hold.
-// Whether a round parks the enqueuer before the sender starts is up to the
+// Whether a round parks the appender before the sender starts is up to the
 // scheduler, so the scenario repeats; no round may misreport.
 func TestDeliveredFrameNotReportedRetired(t *testing.T) {
 	const first, last = 1, 2
 	for round := 0; round < 200; round++ {
 		m := &channelMetrics{}
 		conn := &lastWordConn{stubConn: newStubConn(false), last: last}
-		p := newSendPipeline(conn, 1, Block, supervision{}, batchConfig{}, m, nil)
+		p := newTestPipeline(conn, 1, Block, batchConfig{}, m)
 		conn.pipe = p
-		if err := p.enqueue(queuedFrame{f: wire.NewFrame([]byte{first})}); err != nil {
+		if err := p.log.append(p, wire.NewFrame([]byte{first})); err != nil {
 			t.Fatal(err)
 		}
 		go p.run()
 		errc := make(chan error, 1)
-		go func() { errc <- p.enqueue(queuedFrame{f: wire.NewFrame([]byte{last})}) }()
+		go func() { errc <- p.log.append(p, wire.NewFrame([]byte{last})) }()
 		err := <-errc
 		<-p.done
 
@@ -351,10 +361,10 @@ func TestDeliveredFrameNotReportedRetired(t *testing.T) {
 			delivered = delivered || (len(f) == 1 && f[0] == last)
 		}
 		if delivered && err != nil {
-			t.Fatalf("round %d: the frame reached the wire, yet enqueue returned %v", round, err)
+			t.Fatalf("round %d: the frame reached the wire, yet append returned %v", round, err)
 		}
 		if !delivered && !errors.Is(err, errRetired) {
-			t.Fatalf("round %d: the frame never reached the wire, yet enqueue returned %v", round, err)
+			t.Fatalf("round %d: the frame never reached the wire, yet append returned %v", round, err)
 		}
 		checkAccounting(t, m)
 	}

@@ -34,8 +34,10 @@ type PublisherConfig struct {
 	// FeedbackEvery is the sender-side profiling report period in
 	// messages (0 = 10).
 	FeedbackEvery uint64
-	// QueueDepth bounds each subscription's outbound send queue
-	// (0 = DefaultQueueDepth).
+	// QueueDepth bounds each subscription's outbound send queue: the
+	// entries of its log appended but not yet sent (0 = DefaultQueueDepth).
+	// A resume may queue a longer replay; the next append restores the
+	// bound under the overflow policy.
 	QueueDepth int
 	// OverflowPolicy selects the behaviour when a subscription's queue is
 	// full (default Block).
@@ -50,16 +52,16 @@ type PublisherConfig struct {
 	// BatchBytes (0 = no lingering: batch only what is already queued).
 	// Only meaningful with BatchBytes > 0.
 	BatchDelay time.Duration
-	// ReplayRingBytes bounds the per-subscription replay ring backing
-	// at-least-once delivery: sent frames stay retained until the
+	// ReplayRingBytes bounds what an at-least-once subscription's log
+	// retains past the send cursor: sent frames stay until the
 	// subscriber's cumulative ack, up to this many payload bytes, so a
-	// reconnect can resume. Beyond it the oldest unacked frames are evicted
-	// (counted as RingEvictions; they become DataLoss only if the link is
-	// cut before the subscriber acks them). 0 = DefaultReplayRingBytes;
-	// negative disables retention — events are still sequenced and loss
-	// still declared, but nothing can be replayed. Only subscriptions
-	// requesting AtLeastOnce pay any of this; best-effort subscriptions
-	// never touch the ring.
+	// reconnect can resume. Queued, unsent frames do not count. Beyond it
+	// the oldest unacked frames are evicted (counted as RingEvictions; they
+	// become DataLoss only if the link is cut before the subscriber acks
+	// them), always keeping the newest sent frame. 0 =
+	// DefaultReplayRingBytes; negative disables retention — events are
+	// still sequenced and loss still declared, but nothing can be replayed.
+	// Best-effort subscriptions retain nothing.
 	ReplayRingBytes int
 	// HeartbeatInterval is the idle-liveness probe period per
 	// subscription (0 = DefaultHeartbeatInterval, <0 disables
@@ -99,7 +101,7 @@ type PublisherConfig struct {
 // plan-equivalence classes (see registry.go): everyone on the same (channel,
 // handler, cut) key shares one modulator and one marshalled frame per event,
 // so an event costs one modulation and one marshal per *class* and the
-// per-subscriber work is a refcounted queue handoff. Each subscription still
+// per-subscriber work is a refcounted log append. Each subscription still
 // owns an asynchronous send pipeline, so Publish never blocks on a peer's
 // socket.
 type Publisher struct {
@@ -133,7 +135,7 @@ type Publisher struct {
 	// relMu guards relStates, the resume map of at-least-once delivery
 	// streams keyed by (subscriber, channel, handler). A stream outlives
 	// its subscription: retire detaches it, a resubscribe adopts it, and
-	// the orphan cap bounds how many detached rings a publisher retains.
+	// the orphan cap bounds how many detached logs a publisher retains.
 	relMu     sync.Mutex
 	relStates map[relKey]*relState
 }
@@ -179,9 +181,10 @@ type subscription struct {
 	planVersion atomic.Uint64
 
 	// rel is the at-least-once delivery stream (nil on best-effort
-	// subscriptions). It is not part of the classKey: sequencing and the
-	// envelope are applied per subscription at send time, so reliable and
-	// best-effort members still share one modulation and one frame.
+	// subscriptions); pipe.log is its log. It is not part of the classKey:
+	// sequencing and the envelope are applied per subscription at send
+	// time, so reliable and best-effort members still share one modulation
+	// and one frame.
 	rel *relState
 
 	// retiring is set as retire begins, before it closes the connection:
@@ -273,7 +276,8 @@ type SubscriptionInfo struct {
 	PlanVersion uint64
 	// SplitIDs are the active plan's flagged PSEs.
 	SplitIDs []int32
-	// QueueLen is the instantaneous outbound queue depth.
+	// QueueLen is the instantaneous outbound queue depth: log entries
+	// appended or queued for replay and not yet sent.
 	QueueLen int
 	// Reliable reports the subscription runs at-least-once delivery.
 	Reliable bool
@@ -281,7 +285,8 @@ type SubscriptionInfo struct {
 	// best-effort subscriptions): the chaos invariant compares it against
 	// the subscriber's processed + DataLoss counts.
 	StagedSeq uint64
-	// RingFrames/RingBytes are the replay ring's instantaneous occupancy.
+	// RingFrames/RingBytes are the sent-but-unacked frames the log
+	// retains for a resume, and their payload bytes.
 	RingFrames int
 	RingBytes  int
 	// FeedbackInFlight and FeedbackPending (0 or 1 each) are the feedback
@@ -308,13 +313,13 @@ func (p *Publisher) Subscriptions() []SubscriptionInfo {
 				Handler:     s.compiled.Prog.Name,
 				PlanVersion: s.planVersion.Load(),
 				SplitIDs:    append([]int32(nil), split...),
-				QueueLen:    len(s.pipe.queue),
+				QueueLen:    s.pipe.log.queued(),
 				Metrics:     s.metrics.snapshot(),
 			}
 			info.FeedbackInFlight, info.FeedbackPending = s.pipe.feedbackCut(&info.Metrics)
 			if s.rel != nil {
 				info.Reliable = true
-				info.StagedSeq, info.RingFrames, info.RingBytes, _ = s.rel.stats()
+				info.StagedSeq, info.RingFrames, info.RingBytes = s.pipe.log.stats()
 			}
 			out = append(out, info)
 		}
@@ -517,8 +522,8 @@ func (p *Publisher) retire(s *subscription) {
 		x.mu.Unlock()
 		s.pipe.shutdown()
 		_ = s.conn.Close()
-		// Park the delivery stream (ring + sequence counters) for the
-		// resubscribe to adopt — this is what makes reconnects resume
+		// Park the delivery stream (log + epoch) for the resubscribe to
+		// adopt — this is what makes reconnects resume
 		// mid-stream instead of starting over.
 		p.detachRelState(s.rel)
 	})
@@ -608,8 +613,10 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		}
 	}
 	// At-least-once engages only when the subscriber asked for it; a
-	// best-effort subscription gets no envelopes, no ring and no acks.
+	// best-effort subscription gets no envelopes, no retention and no acks.
 	reliable := subMsg.Reliability == wire.ReliabilityAtLeastOnce
+	var out *sendLog // the subscription's outbound log
+	var resumeSeq uint64
 	if reliable {
 		key := relKey{
 			subscriber: subMsg.Subscriber,
@@ -637,32 +644,30 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			_ = conn.Close()
 			return
 		}
+		out = sub.rel.log
+		resumeSeq = sub.rel.resumePoint(subMsg.ResumeSeq, subMsg.ResumeEpoch)
+	} else {
+		out = newSendLog(p.cfg.QueueDepth, p.cfg.OverflowPolicy, -1)
 	}
-	sub.pipe = newSendPipeline(conn, p.cfg.QueueDepth, p.cfg.OverflowPolicy, p.sup, batch, metrics,
+	sub.pipe = newSendPipeline(conn, out, p.sup, batch, metrics,
 		func(err error) {
 			if !sub.retiring.Load() {
 				p.cfg.Logf("jecho publisher: sub %s send: %v; retiring", sub.id, err)
 			}
 			p.retire(sub)
 		})
-	if reliable {
-		sub.pipe.reliable = true
-		// The resume point is the last seq this connection counts as
-		// delivered; the sender declares the seqs between it and the first
-		// frame it writes Lost.
-		sub.pipe.lastSeq = sub.rel.resumeFrom(subMsg.ResumeSeq, subMsg.ResumeEpoch)
-		sub.pipe.lostFn = func(from, to uint64) { p.countLost(sub, from, to) }
-	}
+	sub.pipe.reliable = reliable
+	sub.pipe.lostFn = func(from, to uint64) { p.countLost(sub, from, to) }
+	// Resume: the unacked tail above the resume point becomes the new
+	// session's queue, ahead of every publish to come, carrying its
+	// original seqs; the sender declares Lost what the budget evicted.
+	// Replayed frames ship as originally modulated; continuations are
+	// self-describing (PSEID, resume node, saved vars), so a plan flip
+	// since then cannot desynchronise the demodulator.
+	replayFrom, replayTo := out.attach(sub.pipe, resumeSeq)
 
-	if sub.rel != nil {
-		// Hold the stream from the class join until the resume replay is
-		// queued, so no new publish can stage ahead of the replay.
-		sub.rel.enqMu.Lock()
-	}
 	if !p.register(sub, subMsg.Subscriber, initialPlan) {
-		if sub.rel != nil {
-			sub.rel.enqMu.Unlock()
-		}
+		sub.pipe.shutdown()
 		p.detachRelState(sub.rel)
 		_ = conn.Close()
 		return
@@ -678,18 +683,8 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		sub.pipe.run()
 	}()
 
-	if sub.rel != nil {
-		// Resume: the unacked tail above the resume point replays, carrying
-		// its original seqs; the sender declares Lost what the ring evicted.
-		// Replayed frames ship as originally modulated; continuations are
-		// self-describing (PSEID, resume node, saved vars), so a plan flip
-		// since then cannot desynchronise the demodulator.
-		from, to := sub.rel.replayLocked(sub.pipe, sub.pipe.lastSeq)
-		sub.rel.enqMu.Unlock()
-		if to != 0 {
-			sub.metrics.replayed.Add(to - from + 1)
-			traceReplay(p.cfg.Tracer, sub.channel, sub.id, from, to)
-		}
+	if replayTo != 0 {
+		traceReplay(p.cfg.Tracer, sub.channel, sub.id, replayFrom, replayTo)
 	}
 
 	// Serve inbound control messages (plans, heartbeats) until the peer
@@ -822,13 +817,14 @@ func (p *Publisher) applyWirePlan(s *subscription, wp *wire.Plan) error {
 	return nil
 }
 
-// handleAck applies a cumulative delivery ack: ring entries release. An
-// ack beyond anything staged is corrupt; it is clamped and counted.
+// handleAck applies a cumulative delivery ack: retained log entries
+// release. An ack beyond anything sent is corrupt; it is clamped and
+// counted.
 func (p *Publisher) handleAck(s *subscription, seq uint64) {
 	if s.rel == nil {
 		return
 	}
-	if _, clamped := s.rel.onAck(seq); clamped {
+	if s.rel.log.ack(seq) {
 		s.metrics.acksClamped.Add(1)
 	}
 }
@@ -838,7 +834,7 @@ func (p *Publisher) handleAck(s *subscription, seq uint64) {
 // traced. The subscriber logs the loss; under DropOldest a publisher log
 // line per skip would flood.
 func (p *Publisher) countLost(s *subscription, from, to uint64) {
-	s.metrics.dataLoss.Add(s.rel.declareLost(from, to))
+	s.metrics.dataLoss.Add(s.rel.log.declareLost(from, to))
 	traceDataLoss(p.cfg.Tracer, s.channel, s.id, from, to)
 }
 
@@ -988,10 +984,10 @@ func (p *Publisher) publish(event mir.Value, channel string, broadcast bool) (in
 
 // publishClass modulates the event once for one class and fans the result
 // out to every member: shared histograms observe once, the marshalled
-// frame is refcounted across the members' send pipelines, and per-member
-// work reduces to counter updates and a queue handoff. The only blocking
-// here is queue handoff under the Block policy; transport writes happen on
-// each subscription's sender goroutine.
+// frame is refcounted across the members' logs, and per-member work
+// reduces to counter updates and one log append. The only blocking here is
+// an append under the Block policy; transport writes happen on each
+// subscription's sender goroutine.
 func (p *Publisher) publishClass(c *planClass, members []*subscription, event mir.Value) (int, error) {
 	if len(members) == 0 {
 		return 0, nil
@@ -1035,7 +1031,7 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 		if out.RawBytes > int64(frame.Len()) {
 			saved = uint64(out.RawBytes - int64(frame.Len()))
 		}
-		// One reference per member; enqueue consumes each one (on the
+		// One reference per member; append consumes each one (on the
 		// send, drop and retired paths alike).
 		if len(members) > 1 {
 			frame.Retain(int32(len(members) - 1))
@@ -1048,13 +1044,7 @@ func (p *Publisher) publishClass(c *planClass, members []*subscription, event mi
 			if traced {
 				tracePublish(tr, c.key.channel, s.id, s.planVersion.Load(), out, modDur)
 			}
-			var qerr error
-			if s.rel != nil {
-				qerr = s.rel.stageAndEnqueue(s.pipe, frame, s.metrics)
-			} else {
-				qerr = s.pipe.enqueue(queuedFrame{f: frame})
-			}
-			if qerr != nil {
+			if qerr := s.pipe.log.append(s.pipe, frame); qerr != nil {
 				p.retire(s)
 				errs = append(errs, fmt.Errorf("jecho: sub %s: %w", s.id, qerr))
 				continue

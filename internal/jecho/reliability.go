@@ -1,13 +1,11 @@
 package jecho
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"methodpart/internal/obsv"
-	"methodpart/internal/wire"
 )
 
 // Reliability selects a subscription's delivery contract.
@@ -15,15 +13,15 @@ type Reliability int
 
 const (
 	// BestEffort is the classic fire-and-forget channel: no sequence
-	// envelopes, no replay ring, no acks. The publish path keeps its
+	// envelopes, no retention, no acks. The publish path keeps its
 	// zero-allocation guarantee.
 	BestEffort Reliability = iota
 	// AtLeastOnce sequences every event per subscription, retains sent
-	// frames in a byte-budgeted publisher-side replay ring until the
+	// frames in its publisher-side log, byte-budgeted, until the
 	// subscriber's cumulative ack releases them, and resumes mid-stream
-	// across reconnects by replaying the unacked tail. A live connection is
+	// across reconnects by re-sending the unacked tail. A live connection is
 	// an ordered stream: every seq it skips (an overflow eviction, or a
-	// resume reaching past what the ring kept) is declared Lost in order and
+	// resume reaching past what the log kept) is declared Lost in order and
 	// counted as DataLoss — loss is loud, never silent. A seq arriving
 	// beyond the next expected one means the link is broken: the subscriber
 	// closes it and resumes.
@@ -42,18 +40,19 @@ func (r Reliability) String() string {
 	}
 }
 
-// DefaultReplayRingBytes bounds one subscription's replay ring when the
-// publisher config leaves ReplayRingBytes zero.
+// DefaultReplayRingBytes bounds the sent-but-unacked bytes one reliable
+// subscription retains when the publisher config leaves ReplayRingBytes
+// zero.
 const DefaultReplayRingBytes = 256 << 10
 
 // DefaultAckEvery is how many delivered events elapse between standalone
 // cumulative acks when the subscriber config leaves AckEvery zero. Idle
 // heartbeats piggyback the ack regardless, so this only paces the
-// steady-state ring release.
+// steady-state release of retained frames.
 const DefaultAckEvery = 32
 
-// maxOrphanRelStates caps how many detached reliable-delivery states (ring
-// + sequence counters of subscriptions whose connection died) a publisher
+// maxOrphanRelStates caps how many detached reliable-delivery states (logs
+// + epochs of subscriptions whose connection died) a publisher
 // retains awaiting resume. Beyond it the oldest orphan is dropped, frames
 // released — a reconnect after that is handed a fresh stream under a new
 // epoch, which the subscriber detects via the StreamStart handshake,
@@ -95,40 +94,23 @@ type relKey struct {
 	handler    string
 }
 
-// ringEntry is one staged frame awaiting acknowledgement.
-type ringEntry struct {
-	f     *wire.Frame
-	bytes int
-}
-
-// relState is the publisher-side half of one at-least-once stream: the
-// per-subscription delivery sequence counter plus the byte-budgeted ring of
-// sent-but-unacked frames. It outlives the subscription that created it —
+// relState is the publisher-side half of one at-least-once stream: its
+// sendLog, whose positions are the delivery seqs, plus the epoch that
+// names the numbering. It outlives the subscription that created it —
 // retire detaches it into the publisher's orphan set so a resubscribe can
 // adopt it and resume.
 //
-// A live connection is an ordered stream, so the ring serves only resume:
-// frames are replayed when a subscriber reconnects, never on a live link.
-// Every sequence number a connection skips — a frame DropOldest evicted
-// from the queue, or the ring-evicted prefix of a resume — is declared Lost
-// in order by that connection's sender goroutine (sendPipeline.declareSkip).
+// A live connection is an ordered stream, so the retained entries serve
+// only resume: they are re-sent when a subscriber reconnects, never on a
+// live link. Every sequence number a connection skips — an entry DropOldest
+// moved the cursor past, or the budget-evicted prefix of a resume — is
+// declared Lost in order by that connection's sender goroutine
+// (sendPipeline.declareSkip).
 type relState struct {
-	budget int // ring byte budget; < 0 disables retention (sequencing only)
-
+	log *sendLog
 	// epoch identifies this state's sequence numbering in the StreamStart
 	// handshake. Immutable after newRelState.
 	epoch uint64
-
-	// enqMu serializes stage+enqueue across concurrently publishing
-	// goroutines so pipeline queue order matches sequence order, and holds
-	// a resume's replay ahead of every later publish.
-	enqMu sync.Mutex
-
-	mu      sync.Mutex
-	next    uint64 // next sequence number to assign; first event gets 1
-	headSeq uint64 // sequence of ring[0]; ring covers [headSeq, next)
-	ring    []ringEntry
-	ringLen int // bytes currently retained
 
 	// Orphan bookkeeping, guarded by the publisher's relMu. registered
 	// reports the state lives in the publisher's resume map; an
@@ -139,195 +121,29 @@ type relState struct {
 	registered bool
 	owner      *subscription
 	detachedAt time.Time
-
-	evictions uint64 // guarded by mu; snapshot via stats
-	// lossCounted is the highest seq already counted as lost (guarded by
-	// mu): a resume after a second cut can declare part of a range again,
-	// and only seqs beyond this horizon are counted again.
-	lossCounted uint64
-
-	// occupancy samples the ring's retained bytes after every stage, so
-	// the exported histogram shows how hard the budget is working.
-	occupancy *obsv.Histogram
 }
 
-func newRelState(budget int) *relState {
+func newRelState(budget, depth int, policy OverflowPolicy) *relState {
 	if budget == 0 {
 		budget = DefaultReplayRingBytes
 	}
-	return &relState{
-		budget: budget, epoch: nextStreamEpoch(),
-		next: 1, headSeq: 1,
-		occupancy: obsv.NewHistogram(obsv.SizeBuckets),
-	}
+	l := newSendLog(depth, policy, budget)
+	l.occupancy = obsv.NewHistogram(obsv.SizeBuckets)
+	return &relState{log: l, epoch: nextStreamEpoch()}
 }
 
-// stageAndEnqueue assigns the next delivery sequence to f, retains it in
-// the replay ring, and hands it to the pipeline. It consumes the caller's
-// frame reference exactly like enqueue does (the ring holds its own). The
-// enqMu critical section spans both steps so the queue drains in sequence
-// order. Two cases take no sequence number, so they leave no gap: a
-// retired pipeline (a resume may already have replayed this stream to its
-// successor) and a DropNewest refusal, which a full queue decides here
-// because only the sender drains the queue while enqMu is held.
-func (r *relState) stageAndEnqueue(pipe *sendPipeline, f *wire.Frame, m *channelMetrics) error {
-	r.enqMu.Lock()
-	defer r.enqMu.Unlock()
-	select {
-	case <-pipe.stop:
-		f.Release()
-		return errRetired
-	default:
-	}
-	if pipe.policy == DropNewest && len(pipe.queue) == cap(pipe.queue) {
-		m.dropped.Add(1)
-		f.Release()
-		return nil
-	}
-	seq, evicted := r.stage(f)
-	if evicted > 0 {
-		m.ringEvictions.Add(evicted)
-	}
-	if err := pipe.enqueue(queuedFrame{f: f, seq: seq}); !errors.Is(err, errRetired) {
-		return err
-	}
-	// The subscription retired after the frame was staged: the ring holds
-	// it and a resume replays it, so the event did join the stream. This
-	// is the common end of a publish that reveals a gap: its frame reaches
-	// the subscriber, which closes the broken link before the enqueue
-	// returns.
-	return nil
-}
-
-// stage assigns a sequence number and retains f in the ring, evicting the
-// oldest entries when the byte budget overflows.
-func (r *relState) stage(f *wire.Frame) (seq uint64, evicted uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seq = r.next
-	r.next++
-	if r.budget < 0 {
-		r.headSeq = r.next // nothing retained: everything below next is gone
-		return seq, 0
-	}
-	f.Retain(1)
-	r.ring = append(r.ring, ringEntry{f: f, bytes: f.Len()})
-	r.ringLen += f.Len()
-	// Keep at least the newest frame so an oversized event can still be
-	// replayed until the next stage displaces it.
-	for r.ringLen > r.budget && len(r.ring) > 1 {
-		r.evictFrontLocked()
-		r.evictions++
-		evicted++
-	}
-	r.occupancy.Observe(float64(r.ringLen))
-	return seq, evicted
-}
-
-func (r *relState) evictFrontLocked() {
-	e := r.ring[0]
-	r.ring[0] = ringEntry{}
-	r.ring = r.ring[1:]
-	r.ringLen -= e.bytes
-	r.headSeq++
-	e.f.Release()
-}
-
-// onAck releases ring entries up to the cumulative ack. An ack beyond
-// anything ever staged is corrupt: it is clamped so it cannot release
-// unsent entries, and reported via clamped so the caller can count it.
-func (r *relState) onAck(seq uint64) (released int, clamped bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if seq > r.next-1 {
-		seq = r.next - 1
-		clamped = true
-	}
-	for len(r.ring) > 0 && r.headSeq <= seq {
-		r.evictFrontLocked()
-		released++
-	}
-	return released, clamped
-}
-
-// resumeFrom turns a reconnect handshake's resume point into the last seq
-// the new connection counts as delivered: its sender declares everything
-// between that point and the first frame it writes Lost. The resume point
-// acts as an ack. A resume point stamped with a different epoch belongs to
-// a dead stream (publisher restart, evicted orphan, duplicate-triple fresh
-// state) and says nothing about this stream's numbering: it releases
-// nothing, and the connection starts from 0, as the subscriber does once
-// it resets on this stream's StreamStart.
-func (r *relState) resumeFrom(contig, epoch uint64) uint64 {
+// resumePoint turns a reconnect handshake's resume point into the last
+// seq the new connection counts as delivered, for sendLog.attach. A resume
+// point stamped with a different epoch belongs to a dead stream (publisher
+// restart, evicted orphan, duplicate-triple fresh state) and says nothing
+// about this stream's numbering: it acks nothing, and the connection
+// starts from 0, as the subscriber does once it resets on this stream's
+// StreamStart.
+func (r *relState) resumePoint(seq, epoch uint64) uint64 {
 	if epoch != r.epoch {
 		return 0
 	}
-	r.onAck(contig)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return min(contig, r.next-1)
-}
-
-// replayLocked enqueues the retained frames above last — the unacked tail
-// a resuming connection still needs — and returns the seq range it
-// enqueued (to == 0: none). The caller holds enqMu from the class join on,
-// so every new publish queues behind the replay and the connection's seqs
-// never run backwards. The ring-evicted part of the tail is left for the
-// sender to declare Lost.
-func (r *relState) replayLocked(pipe *sendPipeline, last uint64) (from, to uint64) {
-	r.mu.Lock()
-	var frames []queuedFrame
-	for i, e := range r.ring {
-		if seq := r.headSeq + uint64(i); seq > last {
-			e.f.Retain(1)
-			frames = append(frames, queuedFrame{f: e.f, seq: seq})
-		}
-	}
-	r.mu.Unlock()
-	for i, q := range frames {
-		if err := pipe.enqueue(q); err != nil {
-			// enqueue consumed this frame's reference; drop the rest. The
-			// ring still holds everything for the next resume.
-			for _, rest := range frames[i+1:] {
-				rest.f.Release()
-			}
-			frames = frames[:i]
-			break
-		}
-	}
-	if len(frames) == 0 {
-		return 0, 0
-	}
-	return frames[0].seq, frames[len(frames)-1].seq
-}
-
-// declareLost advances the loss-counting horizon over [from, to] and
-// returns how many of its seqs no earlier declaration counted.
-func (r *relState) declareLost(from, to uint64) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if to <= r.lossCounted {
-		return 0
-	}
-	n := to - max(from-1, r.lossCounted)
-	r.lossCounted = to
-	return n
-}
-
-// stats snapshots the ring for observability.
-func (r *relState) stats() (staged uint64, ringFrames, ringBytes int, evictions uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next - 1, len(r.ring), r.ringLen, r.evictions
-}
-
-// close releases every retained frame. The state must not be used after.
-func (r *relState) close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.ring) > 0 {
-		r.evictFrontLocked()
-	}
+	return seq
 }
 
 // acquireRelState finds or creates the delivery stream for key and attaches
@@ -343,7 +159,7 @@ func (p *Publisher) acquireRelState(key relKey, owner *subscription) *relState {
 	}
 	st := p.relStates[key]
 	if st == nil || st.attached {
-		st = newRelState(p.cfg.ReplayRingBytes)
+		st = newRelState(p.cfg.ReplayRingBytes, p.cfg.QueueDepth, p.cfg.OverflowPolicy)
 		if p.relStates[key] == nil {
 			p.relStates[key] = st
 			st.registered = true
@@ -384,7 +200,7 @@ func (p *Publisher) detachRelState(st *relState) {
 	st.detachedAt = time.Now()
 	if !st.registered {
 		p.relMu.Unlock()
-		st.close()
+		st.log.close()
 		return
 	}
 	var (
@@ -408,7 +224,7 @@ func (p *Publisher) detachRelState(st *relState) {
 	}
 	p.relMu.Unlock()
 	if oldest != nil {
-		oldest.close()
+		oldest.log.close()
 	}
 }
 
@@ -419,7 +235,7 @@ func (p *Publisher) closeRelStates() {
 	p.relStates = nil
 	p.relMu.Unlock()
 	for _, st := range states {
-		st.close()
+		st.log.close()
 	}
 }
 

@@ -1,18 +1,21 @@
 package jecho
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"methodpart/internal/costmodel"
 	"methodpart/internal/imaging"
 	"methodpart/internal/mir/interp"
+	"methodpart/internal/obsv"
 	"methodpart/internal/partition"
 	"methodpart/internal/transport"
 	"methodpart/internal/wire"
 )
 
-// relFrame builds a refcounted frame of n bytes for ring tests.
+// relFrame builds a refcounted frame of n bytes for log tests.
 func relFrame(n int) *wire.Frame {
 	return wire.NewFrame(make([]byte, n))
 }
@@ -27,22 +30,6 @@ func mustUnmarshal(t *testing.T, data []byte) any {
 	return msg
 }
 
-// replayed resumes r from last on a fresh pipeline over a stub connection
-// and returns the seqs the replay enqueued, releasing their references.
-func replayed(r *relState, last uint64) []uint64 {
-	pipe := newSendPipeline(newStubConn(false), 1024, Block, supervision{}, batchConfig{}, &channelMetrics{}, nil)
-	r.enqMu.Lock()
-	r.replayLocked(pipe, last)
-	r.enqMu.Unlock()
-	var seqs []uint64
-	for len(pipe.queue) > 0 {
-		q := <-pipe.queue
-		seqs = append(seqs, q.seq)
-		q.f.Release()
-	}
-	return seqs
-}
-
 func equalSeqs(a []uint64, b ...uint64) bool {
 	if len(a) != len(b) {
 		return false
@@ -55,246 +42,322 @@ func equalSeqs(a []uint64, b ...uint64) bool {
 	return true
 }
 
+// eventSeqs lists the seqs of the events in ds, skipping Lost notices.
+func eventSeqs(ds []delivery) []uint64 {
+	var seqs []uint64
+	for _, d := range ds {
+		if d.seq != 0 {
+			seqs = append(seqs, d.seq)
+		}
+	}
+	return seqs
+}
+
 func TestRelStateSequencesAndReleases(t *testing.T) {
-	r := newRelState(1 << 20)
+	st := newStream(1<<20, 64, Block, 0)
+	st.attach(0, 0)
 	var frames []*wire.Frame
 	for i := 0; i < 5; i++ {
 		f := relFrame(100)
+		f.Retain(1) // the test's own reference
 		frames = append(frames, f)
-		seq, evicted := r.stage(f)
-		if want := uint64(i + 1); seq != want {
-			t.Fatalf("stage %d assigned seq %d, want %d", i, seq, want)
-		}
-		if evicted != 0 {
-			t.Fatalf("stage %d evicted %d entries under a huge budget", i, evicted)
+		if err := st.publish(f); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if staged, ringFrames, ringBytes, _ := r.stats(); staged != 5 || ringFrames != 5 || ringBytes != 500 {
-		t.Fatalf("stats after staging = (%d, %d, %d), want (5, 5, 500)", staged, ringFrames, ringBytes)
+	st.sendAll()
+	if got := eventSeqs(deliveries(t, st.conn.frames)); !equalSeqs(got, 1, 2, 3, 4, 5) {
+		t.Fatalf("events carried seqs %v, want 1..5", got)
 	}
-	released, clamped := r.onAck(3)
-	if released != 3 || clamped {
-		t.Fatalf("onAck(3) = released %d clamped %v, want 3 false", released, clamped)
+	if staged, frames, bytes := st.rel.log.stats(); staged != 5 || frames != 5 || bytes != 500 {
+		t.Fatalf("stats after sending = (%d, %d, %d), want (5, 5, 500)", staged, frames, bytes)
 	}
-	if _, ringFrames, ringBytes, _ := r.stats(); ringFrames != 2 || ringBytes != 200 {
-		t.Fatalf("ring after ack = (%d frames, %d bytes), want (2, 200)", ringFrames, ringBytes)
+	if clamped := st.rel.log.ack(3); clamped {
+		t.Fatal("ack(3) of sent frames reported clamping")
+	}
+	if _, frames, bytes := st.rel.log.stats(); frames != 2 || bytes != 200 {
+		t.Fatalf("log after ack = (%d frames, %d bytes), want (2, 200)", frames, bytes)
 	}
 	// A re-ack of an already-released position must be a no-op.
-	if released, _ := r.onAck(2); released != 0 {
-		t.Fatalf("stale ack released %d entries", released)
+	st.rel.log.ack(2)
+	if _, frames, _ := st.rel.log.stats(); frames != 2 {
+		t.Fatalf("stale ack left %d frames, want 2", frames)
 	}
-	r.close()
+	st.cut()
+	st.rel.log.close()
 	for i, f := range frames {
 		if f.Refs() != 1 {
-			t.Errorf("frame %d has %d refs after close, want the caller's 1", i, f.Refs())
+			t.Errorf("frame %d has %d refs after close, want the test's 1", i, f.Refs())
 		}
 	}
 }
 
 func TestRelStateCorruptFarAheadAckClamped(t *testing.T) {
-	r := newRelState(1 << 20)
+	st := newStream(1<<20, 64, Block, 0)
+	st.attach(0, 0)
 	for i := 0; i < 4; i++ {
-		r.stage(relFrame(50))
-	}
-	// A corrupt cumulative ack far beyond anything ever staged must release
-	// at most what exists, must not derail the sequence counter — and must
-	// report the clamping so the caller can count it.
-	released, clamped := r.onAck(1 << 60)
-	if released != 4 || !clamped {
-		t.Fatalf("far-ahead ack = released %d clamped %v, want 4 true", released, clamped)
-	}
-	if seq, _ := r.stage(relFrame(50)); seq != 5 {
-		t.Fatalf("seq after corrupt ack = %d, want 5", seq)
-	}
-	// An in-range ack never reports clamping.
-	if _, clamped := r.onAck(5); clamped {
-		t.Fatal("in-range ack reported clamping")
-	}
-}
-
-// TestRelStateEvictionDeclaresLostPrefix: a resume that reaches past what
-// the ring kept replays the retained tail, and the connection's sender
-// declares the evicted prefix Lost in order, right before the first
-// replayed frame. The publisher counts each declared seq once.
-func TestRelStateEvictionDeclaresLostPrefix(t *testing.T) {
-	r := newRelState(250) // holds two 100-byte frames, evicts beyond
-	for i := 0; i < 5; i++ {
-		r.stage(relFrame(100))
-	}
-	if _, ringFrames, _, evictions := r.stats(); ringFrames != 2 || evictions != 3 {
-		t.Fatalf("ring = %d frames %d evictions, want 2 and 3", ringFrames, evictions)
-	}
-	last := r.resumeFrom(0, r.epoch)
-	if last != 0 {
-		t.Fatalf("resume point = %d, want 0", last)
-	}
-	conn := newStubConn(false)
-	pipe := newSendPipeline(conn, 64, Block, supervision{}, batchConfig{}, &channelMetrics{}, nil)
-	pipe.reliable, pipe.lastSeq = true, last
-	var declared [][2]uint64
-	pipe.lostFn = func(from, to uint64) { declared = append(declared, [2]uint64{from, to}) }
-	r.enqMu.Lock()
-	from, to := r.replayLocked(pipe, last)
-	r.enqMu.Unlock()
-	if from != 4 || to != 5 {
-		t.Fatalf("replayed %d..%d, want the retained tail 4..5", from, to)
-	}
-	go pipe.run()
-	waitFor(t, "replay written", func() bool { return len(conn.written()) == 3 })
-	pipe.shutdown()
-	<-pipe.done
-	got := conn.written()
-	if lost, ok := mustUnmarshal(t, got[0]).(*wire.Lost); !ok || lost.From != 1 || lost.To != 3 {
-		t.Fatalf("first frame = %+v, want Lost 1..3", mustUnmarshal(t, got[0]))
-	}
-	for i, want := range []uint64{4, 5} {
-		if se, ok := mustUnmarshal(t, got[i+1]).(*wire.SeqEvent); !ok || se.Seq != want {
-			t.Fatalf("frame %d = %+v, want seq %d", i+1, mustUnmarshal(t, got[i+1]), want)
-		}
-	}
-	if len(declared) != 1 || declared[0] != [2]uint64{1, 3} {
-		t.Fatalf("declarations = %v, want [1 3]", declared)
-	}
-	// A later resume re-declaring the prefix counts only what is new.
-	if n := r.declareLost(1, 3); n != 3 {
-		t.Fatalf("first declaration of 1..3 counted %d, want 3", n)
-	}
-	if n := r.declareLost(1, 6); n != 3 {
-		t.Fatalf("re-declaration of 1..6 counted %d, want the 3 new seqs", n)
-	}
-	if n := r.declareLost(2, 5); n != 0 {
-		t.Fatalf("declaration inside the counted horizon counted %d", n)
-	}
-	r.close()
-}
-
-// TestSenderCutsBatchAtSkip: a queued frame whose seq jumps past the last
-// one written cuts the batch there, and the Lost notice for the skipped
-// seqs goes out between the two halves.
-func TestSenderCutsBatchAtSkip(t *testing.T) {
-	conn := newStubConn(true)
-	m := &channelMetrics{}
-	pipe := newSendPipeline(conn, 64, Block, supervision{}, batchConfig{Bytes: 1 << 20}, m, nil)
-	pipe.reliable = true
-	go pipe.run()
-	for _, seq := range []uint64{1, 2, 5, 6} {
-		if err := pipe.enqueue(queuedFrame{f: relFrame(10), seq: seq}); err != nil {
+		if err := st.publish(relFrame(50)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The gate holds the sender's first write, so the frames behind it
-	// queue up and leave as one collected run that spans the skip.
-	conn.release()
-	waitFor(t, "frames written", func() bool { return m.eventsSent.Load() == 4 })
-	pipe.shutdown()
-	<-pipe.done
-	var seqs []uint64
-	var lost []wire.Lost
-	for _, data := range conn.written() {
-		switch msg := mustUnmarshal(t, data).(type) {
-		case *wire.SeqEvent:
-			seqs = append(seqs, msg.Seq)
-		case *wire.Batch:
-			for _, e := range msg.Entries {
-				seqs = append(seqs, mustUnmarshal(t, e).(*wire.SeqEvent).Seq)
-			}
-		case *wire.Lost:
-			if len(seqs) != 2 {
-				t.Fatalf("Lost notice after seqs %v, want it right after 1, 2", seqs)
-			}
-			lost = append(lost, *msg)
+	st.sendAll()
+	// A corrupt cumulative ack far beyond anything ever sent must release
+	// at most what exists, must not derail the sequence counter — and must
+	// report the clamping so the caller can count it.
+	if clamped := st.rel.log.ack(1 << 60); !clamped {
+		t.Fatal("far-ahead ack not reported clamped")
+	}
+	if _, frames, _ := st.rel.log.stats(); frames != 0 {
+		t.Fatalf("far-ahead ack left %d of 4 sent frames", frames)
+	}
+	if err := st.publish(relFrame(50)); err != nil {
+		t.Fatal(err)
+	}
+	if staged, _, _ := st.rel.log.stats(); staged != 5 {
+		t.Fatalf("seq after corrupt ack = %d, want 5", staged)
+	}
+	// An ack of a queued, unsent frame is as corrupt: it releases nothing.
+	if clamped := st.rel.log.ack(5); !clamped || st.rel.log.queued() != 1 {
+		t.Fatalf("ack of an unsent frame: clamped %v, %d queued, want true and 1", clamped, st.rel.log.queued())
+	}
+	st.sendAll()
+	// An in-range ack never reports clamping.
+	if clamped := st.rel.log.ack(5); clamped {
+		t.Fatal("in-range ack reported clamping")
+	}
+	st.cut()
+	st.rel.log.close()
+}
+
+// TestRelStateEvictionDeclaresLostPrefix: a resume that reaches past what
+// the log kept replays the retained tail, and the connection's sender
+// declares the evicted prefix Lost in order, right before the first
+// replayed frame. The publisher counts each declared seq once.
+func TestRelStateEvictionDeclaresLostPrefix(t *testing.T) {
+	st := newStream(250, 64, Block, 0) // keeps two sent 100-byte frames
+	st.attach(0, 0)
+	for i := 0; i < 5; i++ {
+		if err := st.publish(relFrame(100)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !equalSeqs(seqs, 1, 2, 5, 6) || len(lost) != 1 || lost[0] != (wire.Lost{From: 3, To: 4}) {
+	st.sendAll()
+	if _, frames, _ := st.rel.log.stats(); frames != 2 || st.sub.metrics.ringEvictions.Load() != 3 {
+		t.Fatalf("log = %d frames %d evictions, want 2 and 3", frames, st.sub.metrics.ringEvictions.Load())
+	}
+	st.cut()
+	from, to := st.attach(0, st.rel.epoch)
+	if from != 4 || to != 5 || st.sub.pipe.lastSeq != 0 {
+		t.Fatalf("resume from 0 replays %d..%d after %d, want the retained tail 4..5 after 0", from, to, st.sub.pipe.lastSeq)
+	}
+	st.sendAll()
+	got := deliveries(t, st.conn.frames)
+	want := []delivery{{from: 1, to: 3}, {seq: 4}, {seq: 5}}
+	if len(got) != len(want) {
+		t.Fatalf("resumed connection carried %+v, want Lost 1..3 then seqs 4, 5", got)
+	}
+	for i := range want {
+		if got[i].seq != want[i].seq || got[i].from != want[i].from || got[i].to != want[i].to {
+			t.Fatalf("resumed connection carried %+v, want Lost 1..3 then seqs 4, 5", got)
+		}
+	}
+	if m := st.sub.metrics.snapshot(); m.DataLoss != 3 || m.Replayed != 2 {
+		t.Fatalf("DataLoss %d Replayed %d, want 3 and 2", m.DataLoss, m.Replayed)
+	}
+	// A later resume re-declaring the prefix counts only what is new.
+	if n := st.rel.log.declareLost(1, 6); n != 3 {
+		t.Fatalf("re-declaration of 1..6 counted %d, want the 3 new seqs", n)
+	}
+	if n := st.rel.log.declareLost(2, 5); n != 0 {
+		t.Fatalf("declaration inside the counted horizon counted %d", n)
+	}
+	st.cut()
+	st.rel.log.close()
+}
+
+// TestSenderCutsBatchAtSkip: when DropOldest moves the cursor past queued
+// seqs, the next run starts after the skip, and the Lost notice for the
+// skipped seqs goes out between the run before it and the run after.
+func TestSenderCutsBatchAtSkip(t *testing.T) {
+	st := newStream(1<<20, 2, DropOldest, 1<<20)
+	st.attach(0, 0)
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := st.publish(relFrame(10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(2) // 1, 2
+	st.send()
+	publish(4) // 3, 4, then 5 and 6 push the cursor past them
+	st.sendAll()
+	if m := st.sub.metrics.snapshot(); m.EventsSent != 4 || m.BatchesSent != 2 {
+		t.Fatalf("sent %d events in %d batches, want 4 in 2", m.EventsSent, m.BatchesSent)
+	}
+	var seqs []uint64
+	var lost []delivery
+	for _, d := range deliveries(t, st.conn.frames) {
+		if d.seq != 0 {
+			seqs = append(seqs, d.seq)
+			continue
+		}
+		if len(seqs) != 2 {
+			t.Fatalf("Lost notice after seqs %v, want it right after 1, 2", seqs)
+		}
+		lost = append(lost, d)
+	}
+	if !equalSeqs(seqs, 1, 2, 5, 6) || len(lost) != 1 || lost[0].from != 3 || lost[0].to != 4 {
 		t.Fatalf("wrote seqs %v and notices %+v, want 1 2 5 6 around Lost 3..4", seqs, lost)
 	}
+	st.cut()
+	st.rel.log.close()
 }
 
 func TestRelStateOversizedFrameStaysRepairable(t *testing.T) {
-	r := newRelState(64)
+	st := newStream(64, 64, Block, 0)
+	st.attach(0, 0)
 	f := relFrame(1000) // alone over budget: kept anyway until displaced
-	r.stage(f)
-	if got := replayed(r, 0); !equalSeqs(got, 1) {
-		t.Fatalf("oversized frame not replayable: %v", got)
+	f.Retain(1)
+	if err := st.publish(f); err != nil {
+		t.Fatal(err)
 	}
-	r.stage(relFrame(10)) // displaces the oversized entry
-	if got := replayed(r, 0); !equalSeqs(got, 2) {
-		t.Fatalf("replay after displacement = %v, want only seq 2", got)
+	st.sendAll()
+	st.cut()
+	if from, to := st.attach(0, st.rel.epoch); from != 1 || to != 1 {
+		t.Fatalf("oversized frame not replayable: replay %d..%d", from, to)
 	}
-	r.close()
+	st.sendAll()
+	if err := st.publish(relFrame(10)); err != nil {
+		t.Fatal(err)
+	}
+	st.sendAll() // displaces the oversized entry
+	st.cut()
+	if from, to := st.attach(0, st.rel.epoch); from != 2 || to != 2 {
+		t.Fatalf("replay after displacement = %d..%d, want only seq 2", from, to)
+	}
+	st.cut()
+	st.rel.log.close()
 	if f.Refs() != 1 {
 		t.Fatalf("oversized frame has %d refs after close, want 1", f.Refs())
 	}
 }
 
 func TestRelStateNegativeBudgetSequencesOnly(t *testing.T) {
-	r := newRelState(-1)
+	st := newStream(-1, 64, Block, 0)
+	st.attach(0, 0)
 	f := relFrame(100)
-	if seq, _ := r.stage(f); seq != 1 {
-		t.Fatalf("seq = %d, want 1", seq)
+	f.Retain(1)
+	if err := st.publish(f); err != nil {
+		t.Fatal(err)
+	}
+	st.sendAll()
+	if got := eventSeqs(deliveries(t, st.conn.frames)); !equalSeqs(got, 1) {
+		t.Fatalf("seqs = %v, want 1", got)
 	}
 	if f.Refs() != 1 {
-		t.Fatalf("retention-disabled stage retained the frame (%d refs)", f.Refs())
+		t.Fatalf("retention-disabled log retained the sent frame (%d refs)", f.Refs())
 	}
-	if got := replayed(r, 0); len(got) != 0 {
-		t.Fatalf("replay with retention disabled = %v, want nothing", got)
+	if err := st.publish(relFrame(100)); err != nil {
+		t.Fatal(err)
 	}
+	st.cut() // the queued seq 2 is released, not kept for a replay
+	if from, to := st.attach(0, st.rel.epoch); to != 0 {
+		t.Fatalf("replay with retention disabled = %d..%d, want nothing", from, to)
+	}
+	st.cut()
+}
+
+// TestCollectWithRetentionDisabled: a reliable subscription whose log
+// retains nothing (negative ReplayRingBytes) still exports its samples.
+func TestCollectWithRetentionDisabled(t *testing.T) {
+	const never = 1 << 60
+	p := barePublisher(never)
+	entry := compileImaging(t, p)
+	plan, err := partition.NewPlan(entry.compiled.NumPSEs(), 0, []int32{partition.RawPSEID}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := bareSubscription(entry, never)
+	s.rel = newRelState(-1, 4, DropNewest)
+	s.pipe = newSendPipeline(s.conn, s.rel.log, supervision{}, batchConfig{}, s.metrics, nil)
+	s.rel.log.attach(s.pipe, 0)
+	if !p.register(s, "unretained", plan) {
+		t.Fatal("register refused")
+	}
+	if _, err := p.Publish(imaging.NewFrame(16, 16, 1)); err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	p.Collect(func(obsv.Sample) { samples++ })
+	if samples == 0 {
+		t.Fatal("Collect emitted nothing")
+	}
+	s.pipe.shutdown()
 }
 
 func TestRelStateResume(t *testing.T) {
-	r := newRelState(1 << 20)
+	st := newStream(1<<20, 64, Block, 0)
+	st.attach(0, 0)
 	for i := 0; i < 6; i++ {
-		r.stage(relFrame(10))
+		if err := st.publish(relFrame(10)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	last := r.resumeFrom(4, r.epoch)
-	if last != 4 {
-		t.Fatalf("resume point = %d, want 4", last)
+	st.sendAll()
+	st.cut()
+	from, to := st.attach(4, st.rel.epoch)
+	if st.sub.pipe.lastSeq != 4 || from != 5 || to != 6 {
+		t.Fatalf("resume from 4 = after %d replaying %d..%d, want after 4 replaying 5..6", st.sub.pipe.lastSeq, from, to)
 	}
-	if got := replayed(r, last); !equalSeqs(got, 5, 6) {
-		t.Fatalf("resume replay = %v, want seqs 5..6", got)
+	// The resume point acts as a cumulative ack: only 5 and 6 remain,
+	// queued again.
+	if _, frames, _ := st.rel.log.stats(); frames != 0 || st.rel.log.queued() != 2 {
+		t.Fatalf("log after resume = %d retained %d queued, want 0 and 2", frames, st.rel.log.queued())
 	}
-	// The resume point acts as a cumulative ack.
-	if _, ringFrames, _, _ := r.stats(); ringFrames != 2 {
-		t.Fatalf("ring after resume = %d frames, want 2", ringFrames)
-	}
+	st.sendAll()
+	st.cut()
 	// Fully caught up: nothing to replay.
-	if last := r.resumeFrom(6, r.epoch); last != 6 || len(replayed(r, last)) != 0 {
-		t.Fatalf("caught-up resume from %d replayed something", last)
+	if from, to := st.attach(6, st.rel.epoch); to != 0 {
+		t.Fatalf("caught-up resume replayed %d..%d", from, to)
 	}
+	st.cut()
 	// A resume point past anything staged is clamped to the stream head.
-	if last := r.resumeFrom(99, r.epoch); last != 6 {
-		t.Fatalf("far-ahead resume point = %d, want 6", last)
+	if st.attach(99, st.rel.epoch); st.sub.pipe.lastSeq != 6 {
+		t.Fatalf("far-ahead resume point = %d, want 6", st.sub.pipe.lastSeq)
 	}
-	r.close()
+	st.cut()
+	st.rel.log.close()
 }
 
 func TestRelStateResumeForeignEpochIgnored(t *testing.T) {
-	r := newRelState(1 << 20)
+	st := newStream(1<<20, 64, Block, 0)
+	st.attach(0, 0)
 	for i := 0; i < 3; i++ {
-		r.stage(relFrame(10))
+		if err := st.publish(relFrame(10)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	st.sendAll()
+	st.cut()
 	// A resume point from a different stream says nothing about this one:
 	// the connection starts from 0, as the subscriber does after resetting
 	// on StreamStart, and — critically — nothing is released: the foreign
 	// contig must not act as an ack against this stream's numbering.
-	if last := r.resumeFrom(5, r.epoch+1); last != 0 {
-		t.Fatalf("foreign-epoch resume point = %d, want 0", last)
+	if from, to := st.attach(5, st.rel.epoch+1); st.sub.pipe.lastSeq != 0 || from != 1 || to != 3 {
+		t.Fatalf("foreign-epoch resume = after %d replaying %d..%d, want the whole stream after 0", st.sub.pipe.lastSeq, from, to)
 	}
-	if _, ringFrames, _, _ := r.stats(); ringFrames != 3 {
-		t.Fatalf("foreign-epoch resume released ring entries (%d left, want 3)", ringFrames)
-	}
+	st.cut()
 	// The epoch-0 "no stream adopted" sentinel is foreign to every state.
-	if last := r.resumeFrom(2, 0); last != 0 {
-		t.Fatalf("epoch-0 resume point = %d, want 0", last)
+	if from, to := st.attach(2, 0); st.sub.pipe.lastSeq != 0 || from != 1 || to != 3 {
+		t.Fatalf("epoch-0 resume = after %d replaying %d..%d, want the whole stream after 0", st.sub.pipe.lastSeq, from, to)
 	}
-	if got := replayed(r, 0); !equalSeqs(got, 1, 2, 3) {
-		t.Fatalf("replay from 0 = %v, want the whole stream", got)
-	}
-	r.close()
+	st.cut()
+	st.rel.log.close()
 }
 
 func TestStreamEpochsDistinctAndNonZero(t *testing.T) {
-	a, b := newRelState(0), newRelState(0)
+	a, b := newRelState(0, 0, Block), newRelState(0, 0, Block)
 	if a.epoch == 0 || b.epoch == 0 {
 		t.Fatalf("zero stream epoch assigned (%d, %d)", a.epoch, b.epoch)
 	}
@@ -391,25 +454,42 @@ func TestRelReceiverStreamStartResets(t *testing.T) {
 }
 
 func TestHandleAckClampedCounted(t *testing.T) {
-	p := &Publisher{cfg: PublisherConfig{ReplayRingBytes: 1 << 20}}
-	s := &subscription{rel: newRelState(1 << 20), metrics: &channelMetrics{}}
-	s.rel.stage(relFrame(10))
-	p.handleAck(s, 99) // beyond anything staged: clamped and counted
+	st := newStream(1<<20, 64, Block, 0)
+	st.attach(0, 0)
+	if err := st.publish(relFrame(10)); err != nil {
+		t.Fatal(err)
+	}
+	st.sendAll()
+	s := st.sub
+	st.pub.handleAck(s, 99) // beyond anything sent: clamped and counted
 	if got := s.metrics.acksClamped.Load(); got != 1 {
 		t.Fatalf("acksClamped after corrupt ack = %d, want 1", got)
 	}
-	p.handleAck(s, 1) // in range: not counted
+	st.pub.handleAck(s, 1) // in range: not counted
 	if got := s.metrics.acksClamped.Load(); got != 1 {
 		t.Fatalf("acksClamped after valid ack = %d, want 1", got)
 	}
-	s.rel.close()
+	st.cut()
+	st.rel.log.close()
+}
+
+// stage appends f to r's log through a session attached for the purpose
+// and detached again.
+func stage(t *testing.T, r *relState, f *wire.Frame) {
+	t.Helper()
+	p := newSendPipeline(newStubConn(false), r.log, supervision{}, batchConfig{}, &channelMetrics{}, nil)
+	r.log.attach(p, 0)
+	if err := r.log.append(p, f); err != nil {
+		t.Fatal(err)
+	}
+	p.shutdown()
 }
 
 func TestAcquireRelStateResumesAcrossRetire(t *testing.T) {
 	p := &Publisher{cfg: PublisherConfig{ReplayRingBytes: 1 << 20}}
 	key := relKey{subscriber: "s", channel: "c", handler: "h"}
 	st := p.acquireRelState(key, nil)
-	st.stage(relFrame(10))
+	stage(t, st, relFrame(10))
 
 	// A duplicate live triple must get a fresh stream, not corrupt the
 	// live one — and being unregistered, it is freed on detach.
@@ -429,21 +509,26 @@ func TestAcquireRelStateResumesAcrossRetire(t *testing.T) {
 	if again != st {
 		t.Fatal("resubscribe did not adopt the detached stream")
 	}
-	if seq, _ := again.stage(relFrame(10)); seq != 2 {
-		t.Fatalf("adopted stream staged seq %d, want 2", seq)
+	stage(t, again, relFrame(10))
+	if staged, _, _ := again.log.stats(); staged != 2 {
+		t.Fatalf("adopted stream staged seq %d, want 2", staged)
 	}
 	p.closeRelStates()
 }
 
 func TestDetachRelStateOrphanCap(t *testing.T) {
 	p := &Publisher{cfg: PublisherConfig{ReplayRingBytes: 1 << 20}}
+	f := relFrame(10)
+	f.Retain(1)
 	var first *relState
 	for i := 0; i <= maxOrphanRelStates; i++ {
 		key := relKey{subscriber: string(rune('a' + i%26)), channel: "c", handler: string(rune('A' + i/26))}
 		st := p.acquireRelState(key, nil)
-		st.stage(relFrame(10))
 		if i == 0 {
 			first = st
+			stage(t, st, f)
+		} else {
+			stage(t, st, relFrame(10))
 		}
 		p.detachRelState(st)
 	}
@@ -453,9 +538,9 @@ func TestDetachRelStateOrphanCap(t *testing.T) {
 	if n != maxOrphanRelStates {
 		t.Fatalf("%d orphans parked, cap is %d", n, maxOrphanRelStates)
 	}
-	// The oldest orphan was evicted and its ring released.
-	if len(first.ring) != 0 {
-		t.Fatal("evicted oldest orphan still retains ring frames")
+	// The oldest orphan was evicted and its log released.
+	if f.Refs() != 1 || first.log.queued() != 0 {
+		t.Fatalf("evicted oldest orphan still holds its frame (%d refs, %d queued)", f.Refs(), first.log.queued())
 	}
 	p.closeRelStates()
 }
@@ -637,5 +722,120 @@ func TestResumeRetiresStaleSession(t *testing.T) {
 		if _, err := stale.ReadFrame(); err != nil {
 			break // the stale session's connection was closed by its retirement
 		}
+	}
+}
+
+// resumeConn is a subscriber link scripted for handleConn: ReadFrame
+// yields the handshake once, then blocks until Close. With a gate, every
+// write after the first (the StreamStart) waits for it to open.
+type resumeConn struct {
+	*stubConn
+	hello  []byte
+	said   bool // handleConn's goroutine only
+	gate   chan struct{}
+	writes atomic.Int32
+}
+
+func (c *resumeConn) ReadFrame() ([]byte, error) {
+	if !c.said {
+		c.said = true
+		return c.hello, nil
+	}
+	return c.stubConn.ReadFrame()
+}
+
+func (c *resumeConn) WriteFrame(payload []byte) error {
+	if c.gate != nil && c.writes.Add(1) > 1 {
+		select {
+		case <-c.gate:
+		case <-c.closed:
+			return errors.New("resumeConn: closed")
+		}
+	}
+	return c.stubConn.WriteFrame(payload)
+}
+
+// TestResumeReplayedCountsWrittenFrames: Replayed counts the replayed
+// frames a resumed connection wrote, so over the resumed range every seq
+// is either Replayed or DataLoss, never both. Under DropOldest a publish
+// behind a long replay moves the cursor past replay entries; the sender
+// declares them Lost, and they must not count as replayed too.
+func TestResumeReplayedCountsWrittenFrames(t *testing.T) {
+	reg, _ := imaging.Builtins()
+	pub, err := NewPublisher(PublisherConfig{
+		Transport:         transport.NewMem(),
+		Builtins:          reg,
+		QueueDepth:        2,
+		OverflowPolicy:    DropOldest,
+		HeartbeatInterval: -1,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	hello := func(resumeSeq, resumeEpoch uint64) []byte {
+		data, err := wire.Marshal(&wire.Subscribe{
+			Protocol:    wire.ProtocolVersion,
+			Subscriber:  "resumer",
+			Handler:     imaging.HandlerName,
+			Source:      imaging.HandlerSource(64),
+			CostModel:   costmodel.DataSizeName,
+			Natives:     []string{"displayImage"},
+			Reliability: wire.ReliabilityAtLeastOnce,
+			ResumeSeq:   resumeSeq,
+			ResumeEpoch: resumeEpoch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	serve := func(c *resumeConn) {
+		pub.wg.Add(1)
+		go pub.handleConn(c)
+		waitFor(t, "session", func() bool { return pub.Subscribers() == 1 })
+	}
+	publish := func(i int) {
+		if _, err := pub.Publish(imaging.NewFrame(16, 16, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The first session writes seqs 1..10 one at a time, so nothing drops,
+	// and never acks: the log retains them all.
+	const sent, resumeAt = 10, 2
+	first := &resumeConn{stubConn: newStubConn(false), hello: hello(0, 0)}
+	serve(first)
+	for i := 1; i <= sent; i++ {
+		publish(i)
+		waitFor(t, "event written", func() bool { return pub.Subscriptions()[0].Metrics.EventsSent == uint64(i) })
+	}
+	start, ok := mustUnmarshal(t, first.written()[0]).(*wire.StreamStart)
+	if !ok {
+		t.Fatal("first frame of an at-least-once session is not a stream start")
+	}
+	_ = first.Close()
+	waitFor(t, "first session retired", func() bool { return pub.Subscribers() == 0 })
+
+	// Resume after seq 2 over a gated link: 3..10 replay. One publish while
+	// the gate holds the replay overflows the depth-2 queue.
+	second := &resumeConn{stubConn: newStubConn(false), hello: hello(resumeAt, start.Epoch), gate: make(chan struct{})}
+	serve(second)
+	publish(sent + 1)
+	close(second.gate)
+	var m ChannelMetrics
+	waitFor(t, "the publish behind the replay written and counted", func() bool {
+		frames := second.written()
+		se, ok := mustUnmarshal(t, frames[len(frames)-1]).(*wire.SeqEvent)
+		m = pub.Subscriptions()[0].Metrics
+		return ok && se.Seq == sent+1 && m.Enqueued == m.EventsSent+m.Dropped
+	})
+	if m.DataLoss == 0 {
+		t.Error("no replay entry was dropped: the publish did not overflow the queue behind the replay")
+	}
+	if got := m.Replayed + m.DataLoss; got != sent-resumeAt {
+		t.Errorf("replayed %d + lost %d = %d over the resumed range %d..%d, want %d",
+			m.Replayed, m.DataLoss, got, resumeAt+1, sent, sent-resumeAt)
 	}
 }

@@ -199,27 +199,31 @@ type Subscriber struct {
 	closing  atomic.Bool
 }
 
-// fullJitter draws a uniform delay in [0, d): full-jitter backoff. The
-// *ceiling* doubles deterministically while every waiter sleeps a random
-// fraction of it, so subscribers orphaned by one publisher restart spread
-// their reconnects across the window instead of stampeding in lockstep.
-func fullJitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
+// backoff paces connection retries with full jitter: the ceiling starts
+// at 50ms and doubles, capped at 2s, while every wait is drawn uniformly
+// below it, so subscribers orphaned by one publisher restart spread their
+// reconnects across the window instead of stampeding in lockstep.
+type backoff struct{ ceiling time.Duration }
+
+// next returns the wait before the next attempt and raises the ceiling.
+func (b *backoff) next() time.Duration {
+	if b.ceiling == 0 {
+		b.ceiling = 50 * time.Millisecond
 	}
-	return time.Duration(rand.Int64N(int64(d)))
+	d := time.Duration(rand.Int64N(int64(b.ceiling)))
+	b.ceiling = min(2*b.ceiling, 2*time.Second)
+	return d
 }
 
 // SubscribeWithRetry dials the publisher with full-jitter exponential
-// backoff (ceiling starting at 50ms, doubling, capped at 2s; each wait
-// drawn uniformly below the ceiling) until the subscription succeeds or
-// attempts are exhausted — for deployments where the receiver may come up
-// before its publisher.
+// backoff (see backoff) until the subscription succeeds or attempts are
+// exhausted — for deployments where the receiver may come up before its
+// publisher.
 func SubscribeWithRetry(cfg SubscriberConfig, attempts int) (*Subscriber, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
-	backoff := 50 * time.Millisecond
+	var wait backoff
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		sub, err := Subscribe(cfg)
@@ -228,11 +232,7 @@ func SubscribeWithRetry(cfg SubscriberConfig, attempts int) (*Subscriber, error)
 		}
 		lastErr = err
 		if i+1 < attempts {
-			time.Sleep(fullJitter(backoff))
-			backoff *= 2
-			if backoff > 2*time.Second {
-				backoff = 2 * time.Second
-			}
+			time.Sleep(wait.next())
 		}
 	}
 	return nil, fmt.Errorf("jecho: subscribe after %d attempts: %w", attempts, lastErr)
@@ -541,28 +541,23 @@ func (s *Subscriber) supervise(conn transport.Conn) {
 	}
 }
 
-// resubscribe redials with full-jitter exponential backoff (ceiling 50ms
-// doubling, capped at 2s; each wait uniform below the ceiling — a publisher
-// restart must not get a synchronized thundering herd from every orphaned
-// subscriber) until a fresh session is connected and resynced, attempts run
-// out, or Close aborts the wait.
+// resubscribe redials with full-jitter exponential backoff (see backoff; a
+// publisher restart must not get a synchronized thundering herd from every
+// orphaned subscriber) until a fresh session is connected and resynced,
+// attempts run out, or Close aborts the wait.
 func (s *Subscriber) resubscribe() (transport.Conn, error) {
 	attempts := s.cfg.ResubscribeAttempts
 	if attempts <= 0 {
 		attempts = DefaultResubscribeAttempts
 	}
-	backoff := 50 * time.Millisecond
+	var wait backoff
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			select {
 			case <-s.stop:
 				return nil, fmt.Errorf("jecho: subscriber closed during resubscribe")
-			case <-time.After(fullJitter(backoff)):
-			}
-			backoff *= 2
-			if backoff > 2*time.Second {
-				backoff = 2 * time.Second
+			case <-time.After(wait.next()):
 			}
 		}
 		conn, err := s.connect()
@@ -629,8 +624,8 @@ func (s *Subscriber) heartbeatLoop(conn transport.Conn, connDone <-chan struct{}
 				s.link.Probe(seq)
 			}
 			if s.rel != nil {
-				// Idle channels still drain the publisher's replay ring:
-				// every heartbeat piggybacks the cumulative ack.
+				// Idle channels still release the publisher's retained
+				// frames: every heartbeat piggybacks the cumulative ack.
 				hb.HasAck = true
 				hb.AckSeq = s.rel.contiguous()
 			}
@@ -894,7 +889,7 @@ func (s *Subscriber) handleStreamStart(m *wire.StreamStart) {
 
 // handleLost processes a Lost notice: the publisher skipped [From, To] on
 // this stream — an overflow eviction, or a resume reaching past what its
-// replay ring kept. Every event in the range this subscriber never
+// log retained. Every event in the range this subscriber never
 // received is counted as DataLoss — loudly, on the counter, the tracer and
 // the log — and the stream advances past it. A notice that starts beyond
 // the next expected seq skips seqs nobody declared: the link is broken.

@@ -96,8 +96,8 @@ const (
 	// EvDeadLetter: a poison message was quarantined in the dead-letter
 	// ring (Bytes is the retained frame size, Detail the fault class).
 	EvDeadLetter
-	// EvReplay: the publisher re-sent a range of sequenced events from its
-	// replay ring to a subscriber resuming after a reconnect (Detail is
+	// EvReplay: the publisher queued a range of retained sequenced events
+	// for re-sending to a subscriber resuming after a reconnect (Detail is
 	// the "from..to" sequence range).
 	EvReplay
 	// EvDataLoss: a range of sequenced events was declared unrecoverable —
